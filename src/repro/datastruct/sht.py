@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
-from repro.kvmsr.binding import stable_hash
+from repro.kvmsr.binding import splitmix64, stable_hash
 from repro.udweave import UDThread, UpDownRuntime, event
 from repro.udweave.context import LaneContext
 
@@ -70,7 +70,14 @@ class SHTOp(UDThread):
 
 
 class ScalableHashTable:
-    """Host-side descriptor + device-side operations for one SHT."""
+    """Host-side descriptor + device-side operations for one SHT.
+
+    Placement contract: key ``k`` lives on lane
+    ``first_lane + stable_hash(("sht", name, k)) % num_lanes``, with
+    :func:`~repro.kvmsr.binding.stable_hash` KVMSR's binding hash.  It
+    depends only on the table's name and lane range, so every process and
+    shard places a key identically.
+    """
 
     def __init__(
         self,
@@ -99,6 +106,9 @@ class ScalableHashTable:
                 f"exceed the machine's {runtime.config.total_lanes} lanes"
             )
         self.capacity_per_lane = buckets_per_lane * entries_per_bucket
+        #: stable_hash returns a tuple's running state unfinalized, so
+        #: the ("sht", name) prefix of every placement hash is hashed once
+        self._place_prefix = stable_hash(("sht", name))
         tables = getattr(runtime, "_sht_tables", None)
         if tables is None:
             tables = {}
@@ -129,10 +139,10 @@ class ScalableHashTable:
     # ------------------------------------------------------------------
 
     def owner_lane(self, key) -> int:
-        return self.first_lane + stable_hash(("sht", self.name, key)) % self.num_lanes
-
-    def bucket_of(self, key) -> int:
-        return stable_hash((self.name, key, "b")) % self.buckets_per_lane
+        # == stable_hash(("sht", self.name, key)): one more tuple step
+        return self.first_lane + (
+            splitmix64(self._place_prefix ^ stable_hash(key)) % self.num_lanes
+        )
 
     # ------------------------------------------------------------------
     # Device-side API (call from any event handler)

@@ -35,19 +35,32 @@ def splitmix64(x: int) -> int:
 
 
 def stable_hash(key) -> int:
-    """Deterministic hash for ints, strings, and flat tuples of them."""
-    if isinstance(key, (int,)):
+    """Deterministic hash for ints, strings, and tuples of them (nested
+    tuples included).
+
+    Exact ints and tuples — the placement keys of every SHT and reduce
+    binding — are tested first, and a tuple's int parts are mixed without
+    a recursive call.  ``bool`` and ``IntEnum`` values hash as the ints
+    they equal; other types (floats, lists, numpy scalars) raise
+    ``TypeError``.
+    """
+    if key.__class__ is int:
+        return splitmix64(key)
+    if isinstance(key, tuple):
+        h = 0x9E3779B97F4A7C15
+        for part in key:
+            if part.__class__ is int:
+                h = splitmix64(h ^ splitmix64(part))
+            else:
+                h = splitmix64(h ^ stable_hash(part))
+        return h
+    if isinstance(key, int):
         return splitmix64(key)
     if isinstance(key, str):
         h = 0xCBF29CE484222325
         for ch in key.encode():
             h = ((h ^ ch) * 0x100000001B3) & _MASK64
         return splitmix64(h)
-    if isinstance(key, tuple):
-        h = 0x9E3779B97F4A7C15
-        for part in key:
-            h = splitmix64(h ^ stable_hash(part))
-        return h
     raise TypeError(f"unhashable KVMSR key type: {type(key).__name__}")
 
 

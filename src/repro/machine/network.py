@@ -60,20 +60,6 @@ class InjectionChannel:
         self.bytes_injected += int(nbytes)
         return self.free_at
 
-    def admit_recorded(
-        self, t: float, occupancy: float, nbytes: int, recorder, node: int
-    ) -> float:
-        """:meth:`admit` plus a flight-recorder occupancy/queue-wait sample.
-
-        A separate method so the unrecorded hot path stays branch-free;
-        callers pick once per send based on whether a recorder is attached.
-        """
-        start = max(t, self.free_at)
-        self.free_at = start + occupancy
-        self.bytes_injected += int(nbytes)
-        recorder.inj_sample(node, start, start - t, occupancy, nbytes)
-        return self.free_at
-
 
 class Network:
     """Latency + injection-bandwidth model of the PolarStar interconnect."""
@@ -170,16 +156,18 @@ class Network:
         occupancy = occ.get(nbytes)
         if occupancy is None:
             occupancy = occ[nbytes] = nbytes / self._injection_bw
+        # InjectionChannel.admit inlined — once per remote message.
+        free_at = ch.free_at
+        start = t_issue if t_issue > free_at else free_at
+        departed = ch.free_at = start + occupancy
         recorder = self.recorder
         if recorder is None:
-            # InjectionChannel.admit inlined — once per remote message.
-            free_at = ch.free_at
-            start = t_issue if t_issue > free_at else free_at
-            departed = ch.free_at = start + occupancy
             ch.bytes_injected += nbytes
         else:
-            departed = ch.admit_recorded(
-                t_issue, occupancy, nbytes, recorder, src_node
+            # int() as in InjectionChannel.admit: exact past 2**53
+            ch.bytes_injected += int(nbytes)
+            recorder.inj_sample(
+                src_node, start, start - t_issue, occupancy, nbytes
             )
         base = self._remote_base
         if jitter_on:
@@ -225,17 +213,18 @@ class Network:
         occupancy = occ.get(nbytes)
         if occupancy is None:
             occupancy = occ[nbytes] = nbytes / self._injection_bw
+        # InjectionChannel.admit inlined: this runs twice per remote
+        # DRAM access, and the method call costs as much as the math.
+        free_at = ch.free_at
+        start = t_issue if t_issue > free_at else free_at
+        departed = ch.free_at = start + occupancy
         recorder = self.recorder
         if recorder is None:
-            # InjectionChannel.admit inlined: this runs twice per remote
-            # DRAM access, and the method call costs as much as the math.
-            free_at = ch.free_at
-            start = t_issue if t_issue > free_at else free_at
-            departed = ch.free_at = start + occupancy
             ch.bytes_injected += nbytes
         else:
-            departed = ch.admit_recorded(
-                t_issue, occupancy, nbytes, recorder, src_node
+            ch.bytes_injected += int(nbytes)
+            recorder.inj_sample(
+                src_node, start, start - t_issue, occupancy, nbytes
             )
         return departed + transit_cycles
 

@@ -163,17 +163,14 @@ class FlightRecorder:
         self.batches_recorded += 1
         self.batch_records += n_records
 
-    def _channel_sample(
-        self,
-        by_node: Dict[int, ChannelStats],
-        wait_hist: LogHistogram,
-        events: List[Tuple[int, float, float, float, int]],
-        node: int,
-        start: float,
-        wait: float,
-        occupancy: float,
-        nbytes: int,
+    # inj_sample and dram_sample are one frame each: their bodies are the
+    # same per-node accumulation, written out twice on purpose.
+
+    def inj_sample(
+        self, node: int, start: float, wait: float, occupancy: float, nbytes: int
     ) -> None:
+        """One admission into a node's network-injection channel."""
+        by_node = self.inj_by_node
         ch = by_node.get(node)
         if ch is None:
             ch = by_node[node] = ChannelStats()
@@ -184,30 +181,47 @@ class FlightRecorder:
         if wait > ch.wait_max:
             ch.wait_max = wait
         ch.wait_hist.add(wait)
-        wait_hist.add(wait)
+        self.inj_wait.add(wait)
         if self.record_channel_events:
-            if len(events) < self._max_channel_events:
-                events.append((node, start, wait, occupancy, nbytes))
-            else:
-                self.channel_events_dropped += 1
-
-    def inj_sample(
-        self, node: int, start: float, wait: float, occupancy: float, nbytes: int
-    ) -> None:
-        """One admission into a node's network-injection channel."""
-        self._channel_sample(
-            self.inj_by_node, self.inj_wait, self.inj_events,
-            node, start, wait, occupancy, nbytes,
-        )
+            self._channel_event(
+                self.inj_events, node, start, wait, occupancy, nbytes
+            )
 
     def dram_sample(
         self, node: int, start: float, wait: float, occupancy: float, nbytes: int
     ) -> None:
         """One serviced request on a node's DRAM channel."""
-        self._channel_sample(
-            self.dram_by_node, self.dram_wait, self.dram_events,
-            node, start, wait, occupancy, nbytes,
-        )
+        by_node = self.dram_by_node
+        ch = by_node.get(node)
+        if ch is None:
+            ch = by_node[node] = ChannelStats()
+        ch.admits += 1
+        ch.bytes += nbytes
+        ch.wait_sum += wait
+        ch.occupancy_sum += occupancy
+        if wait > ch.wait_max:
+            ch.wait_max = wait
+        ch.wait_hist.add(wait)
+        self.dram_wait.add(wait)
+        if self.record_channel_events:
+            self._channel_event(
+                self.dram_events, node, start, wait, occupancy, nbytes
+            )
+
+    def _channel_event(
+        self,
+        events: List[Tuple[int, float, float, float, int]],
+        node: int,
+        start: float,
+        wait: float,
+        occupancy: float,
+        nbytes: int,
+    ) -> None:
+        """One admission on a channel timeline (full tier), capped."""
+        if len(events) < self._max_channel_events:
+            events.append((node, start, wait, occupancy, nbytes))
+        else:
+            self.channel_events_dropped += 1
 
     # ------------------------------------------------------------------
     # Phase spans (KVMSR engine)

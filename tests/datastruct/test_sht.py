@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datastruct import ScalableHashTable, SHTError
+from repro.kvmsr import stable_hash
 from repro.machine import bench_machine
 from repro.udweave import UDThread, UpDownRuntime, event
 
@@ -150,6 +151,23 @@ class TestCapacityAndNaming:
         sht = ScalableHashTable(rt, "t")
         owners = {sht.owner_lane(k) for k in range(500)}
         assert len(owners) > rt.config.total_lanes // 2
+
+    @pytest.mark.parametrize("first_lane,num_lanes", [(0, None), (0, 7), (5, 64)])
+    def test_placement_contract(self, first_lane, num_lanes):
+        """owner_lane is stable_hash over ("sht", name, key), whatever
+        the table caches to compute it."""
+        cfg = bench_machine(nodes=2, accels_per_node=4, lanes_per_accel=16)
+        rt = UpDownRuntime(cfg)
+        keys = [0, 1, -3, 2**64 + 1, 987654321, (4, 9), (1, 0, 55), ("v", 3)]
+        for name in ("t", "svc_state", "ünï"):
+            sht = ScalableHashTable(
+                rt, name, first_lane=first_lane, num_lanes=num_lanes
+            )
+            for key in keys:
+                expected = first_lane + (
+                    stable_hash(("sht", name, key)) % sht.num_lanes
+                )
+                assert sht.owner_lane(key) == expected
 
 
 class TestDictEquivalence:

@@ -1,7 +1,11 @@
 """Computation binding schemes: Block, Hash, PBMW, KeyToLane."""
 
+import collections
+import enum
+
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.kvmsr import (
     BlockBinding,
@@ -14,6 +18,43 @@ from repro.kvmsr import (
     stable_hash,
 )
 from repro.machine import bench_machine
+
+_MASK64 = (1 << 64) - 1
+
+
+def reference_stable_hash(key) -> int:
+    """The plain recursive ``stable_hash``; the fast path must match it."""
+    if isinstance(key, (int,)):
+        return splitmix64(key)
+    if isinstance(key, str):
+        h = 0xCBF29CE484222325
+        for ch in key.encode():
+            h = ((h ^ ch) * 0x100000001B3) & _MASK64
+        return splitmix64(h)
+    if isinstance(key, tuple):
+        h = 0x9E3779B97F4A7C15
+        for part in key:
+            h = splitmix64(h ^ reference_stable_hash(part))
+        return h
+    raise TypeError(f"unhashable KVMSR key type: {type(key).__name__}")
+
+
+class _Color(enum.IntEnum):
+    RED = 3
+
+
+_Pair = collections.namedtuple("_Pair", "a b")
+
+
+_ints = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.integers(min_value=2**64, max_value=2**80),
+    st.sampled_from([0, -1, True, False, _Color.RED]),
+)
+_leaves = st.one_of(_ints, st.text())
+_keys = st.recursive(
+    _leaves, lambda inner: st.lists(inner, max_size=4).map(tuple), max_leaves=12
+)
 
 
 class TestStableHash:
@@ -29,6 +70,27 @@ class TestStableHash:
     def test_rejects_unhashable(self):
         with pytest.raises(TypeError):
             stable_hash([1, 2])
+
+    @settings(derandomize=True, max_examples=300)
+    @given(_keys)
+    def test_fast_path_matches_reference(self, key):
+        assert stable_hash(key) == reference_stable_hash(key)
+
+    def test_fast_path_matches_reference_on_edge_values(self):
+        keys = [
+            -5, 0, 2**64, 2**64 + 7, True, False, _Color.RED,
+            "", "abc", "ünïcødé ✓", (), (1, "a"), (True, _Color.RED, -1),
+            (2**65, ("x", (0, ())), "y"), _Pair(1, "b"), (0, _Pair(2, 3)),
+        ]
+        for key in keys:
+            assert stable_hash(key) == reference_stable_hash(key), key
+
+    @pytest.mark.parametrize(
+        "key", [1.0, [1, 2], np.int64(3), (1, 2.5), (1, [2])]
+    )
+    def test_unsupported_types_raise(self, key):
+        with pytest.raises(TypeError):
+            stable_hash(key)
 
     def test_splitmix_is_bijective_sample(self):
         outs = {splitmix64(i) for i in range(10_000)}

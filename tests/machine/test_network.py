@@ -4,6 +4,7 @@ import pytest
 
 from repro.machine import bench_machine
 from repro.machine.network import InjectionChannel, Network
+from repro.observe import FlightRecorder
 
 
 @pytest.fixture
@@ -67,15 +68,17 @@ class TestInjection:
         ch.admit(1.0, 1.0, 1.0)
         assert ch.bytes_injected == 2**53 + 65  # float math would drop it
 
-        class _Rec:
-            def inj_sample(self, *a):
-                pass
-
-        ch2 = InjectionChannel()
-        ch2.bytes_injected = 2**53
-        ch2.admit_recorded(0.0, 1.0, 1.0, _Rec(), 0)
-        assert isinstance(ch2.bytes_injected, int)
-        assert ch2.bytes_injected == 2**53 + 1
+        # the recorded send paths inline the admit; they must coerce too
+        net = Network(bench_machine(nodes=2), recorder=FlightRecorder("histograms"))
+        inj, reply = net._channel(0), net._reply_channel(1)
+        inj.bytes_injected = reply.bytes_injected = 2**53
+        net.deliver_time(0.0, 0, 1, 1.0)
+        net.dram_hop(0.0, 0, 1, 1.0, 10.0)
+        net.dram_hop(0.0, 1, 0, 1.0, 10.0, reply=True)
+        assert isinstance(inj.bytes_injected, int)
+        assert isinstance(reply.bytes_injected, int)
+        assert inj.bytes_injected == 2**53 + 2
+        assert reply.bytes_injected == 2**53 + 1
 
     def test_occupancy_memo_matches_direct_division(self):
         """deliver_time's per-size occupancy memo must reproduce the
