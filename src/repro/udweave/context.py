@@ -255,7 +255,7 @@ class LaneContext:
     ) -> None:
         """:meth:`spawn` for a pre-resolved, pre-validated target.
 
-        The packet-aware inner loops (KVMSR's ``_pump`` chain and
+        The hot inner loops (KVMSR's ``_pump`` chain and
         ``kv_emit``) issue millions of spawns whose label is fixed for
         the whole job and whose ``network_id`` comes from a binding that
         was range-checked at job creation; re-resolving the label and

@@ -79,6 +79,80 @@ class TestExecution:
         assert sim.elapsed_seconds == pytest.approx(5.0 / 2e9)
 
 
+class TestBoundedReentry:
+    """Fused same-lane dispatch must stay invisible across re-entry.
+
+    The drain runs consecutive same-lane deliveries in its inner loop;
+    a ``run(until=)`` bound or a ``max_events`` abort can land inside
+    such a run, and the remainder must stay on the heap in order.
+    """
+
+    @staticmethod
+    def _fanout(*, step=None):
+        """Seeds on both nodes spray remote messages both directions."""
+        fanned = []
+
+        def dispatcher(sim, lane, rec, start):
+            if rec.label == "seed":
+                node = sim.config.node_of(lane.network_id)
+                other = sim.config.first_lane_of_node(1 - node)
+                for i in range(6):
+                    sim.send(
+                        MessageRecord(other + i // 3, NEW_THREAD, "w"),
+                        start + 2.0 + i,
+                        src_node=node,
+                    )
+            fanned.append((rec.label, lane.network_id, start))
+            return 2.0
+
+        sim = Simulator(bench_machine(nodes=2), dispatcher=dispatcher)
+        dst1 = sim.config.first_lane_of_node(1)
+        for t in (0.0, 1.0, 700.0, 2500.0):
+            sim.inject(MessageRecord(0, NEW_THREAD, "seed"), t=t)
+            sim.inject(MessageRecord(dst1, NEW_THREAD, "seed"), t=t + 0.5)
+        if step is None:
+            sim.run()
+        else:
+            t = 0.0
+            while sim._heap:
+                t += step
+                sim.run(until=t)
+                assert sim.now < t, (step, t)
+            sim.run()
+        return fanned, sim.stats.scalar_snapshot()
+
+    def test_until_stepping_matches_whole_run(self):
+        whole_order, whole_fp = self._fanout()
+        for step in (100.0, 333.0, 1001.0):
+            stepped_order, stepped_fp = self._fanout(step=step)
+            assert stepped_order == whole_order, step
+            assert stepped_fp == whole_fp, step
+
+    def test_max_events_abort_leaves_heap_coherent(self):
+        """An abort mid-run leaves the unexecuted remainder heaped;
+        resuming completes the run with the full-run totals."""
+
+        def run(limit):
+            disp = null_dispatcher(cycles=1.0)
+            s = Simulator(bench_machine(nodes=2), dispatcher=disp)
+            dst = s.config.first_lane_of_node(1)
+            for i in range(8):
+                s.send(
+                    MessageRecord(dst + (i // 2) % 2, NEW_THREAD, f"m{i}"),
+                    float(i),
+                    src_node=0,
+                )
+            if limit is not None:
+                with pytest.raises(SimulationError):
+                    s.run(max_events=limit)
+            s.run()
+            return disp.executed, s.stats.scalar_snapshot()
+
+        golden = run(None)
+        for limit in (1, 3, 5, 7):
+            assert run(limit) == golden, limit
+
+
 class TestTransport:
     def test_send_returns_delivery_time(self, sim):
         rec = MessageRecord(0, NEW_THREAD, "x", src_network_id=None)
