@@ -44,10 +44,7 @@ def run_once(batch: bool, shards: int = 1):
     )
     app = PageRankApp(rt, graph, block_size=BENCH_BLOCK_SIZE)
     t0 = time.perf_counter()
-    try:
-        res = app.run(iterations=2)
-    finally:
-        rt.shutdown()
+    res = app.run(iterations=2)
     seconds = time.perf_counter() - t0
     mailbox = [(t, rec.label, rec.operands) for t, rec in rt.sim.host_inbox]
     snapshot = rt.sim.stats.scalar_snapshot()

@@ -18,7 +18,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_simcore.py --label after
     PYTHONPATH=src python benchmarks/bench_simcore.py --quick   # CI smoke
     PYTHONPATH=src python benchmarks/bench_simcore.py \
-        --label shards4 --shards 4 --parallel   # conservative parallel mode
+        --label shards4 --shards 4   # conservative sharded drain
     PYTHONPATH=src python benchmarks/bench_simcore.py \
         --label batched --batch   # batched label-homogeneous dispatch
 
@@ -28,8 +28,6 @@ throughput win that changes the simulated result is a bug, not a win.
 The same holds across ``--shards`` values: conservative sharding is
 bit-exact, so a shards entry whose fingerprint differs from the
 sequential entry is a correctness failure, not a performance data point.
-Each entry records ``cpu_count`` — parallel speedups are only meaningful
-when the host actually has cores to run the shard workers on.
 """
 
 from __future__ import annotations
@@ -64,11 +62,10 @@ def _build(
     scale: int,
     nodes: int,
     shards: int,
-    parallel: bool,
     explicit_fault_off: bool = False,
     batch: bool = False,
 ):
-    """Fresh (runtime, app, run_kwargs) — setup cost excluded from timing.
+    """A fresh app on its own runtime — setup cost excluded from timing.
 
     ``explicit_fault_off`` builds the runtime with the fault subsystem's
     arguments spelled out as disabled (``faults=None, reliable=False,
@@ -91,7 +88,6 @@ def _build(
     rt = UpDownRuntime(
         bench_config(nodes, batch_dispatch=batch),
         shards=shards,
-        parallel=parallel,
         **fault_kw,
     )
     if name == "pagerank":
@@ -102,7 +98,7 @@ def _build(
         app = TriangleCountApp(rt, graph, block_size=BENCH_BLOCK_SIZE)
     else:  # pragma: no cover - workload table is static
         raise ValueError(f"unknown workload {name!r}")
-    return rt, app
+    return app
 
 
 def run_workload(
@@ -112,7 +108,6 @@ def run_workload(
     kwargs,
     repeats: int,
     shards: int = 1,
-    parallel: bool = False,
     explicit_fault_off: bool = False,
     batch: bool = False,
 ):
@@ -120,14 +115,9 @@ def run_workload(
     best = None
     fingerprint = None
     for _ in range(repeats):
-        rt, app = _build(
-            name, scale, nodes, shards, parallel, explicit_fault_off, batch
-        )
+        app = _build(name, scale, nodes, shards, explicit_fault_off, batch)
         t0 = time.perf_counter()
-        try:
-            res = app.run(**kwargs)
-        finally:
-            rt.shutdown()
+        res = app.run(**kwargs)
         seconds = time.perf_counter() - t0
         stats = res.stats
         fp = (stats.final_tick, stats.events_executed, stats.messages_sent)
@@ -154,14 +144,6 @@ def run_workload(
                 "wall_seconds": round(seconds, 4),
                 "events_per_second": round(eps, 1),
             }
-            # forked-worker runs: ship the coordinator's transport
-            # numbers alongside the timing (they explain it — barrier
-            # wait and boundary bytes are where parallel time goes)
-            hub = rt.sim.parallel_metrics()
-            if hub is not None:
-                hub = dict(hub)
-                hub["barrier_wait_s"] = round(hub["barrier_wait_s"], 4)
-                best["hub"] = hub
     return best
 
 
@@ -181,14 +163,9 @@ def run_fault_guard(workloads, repeats: int, tolerance: float) -> int:
     """
 
     def sample(explicit_fault_off):
-        rt, app = _build(
-            name, scale, nodes, 1, False, explicit_fault_off
-        )
+        app = _build(name, scale, nodes, 1, explicit_fault_off)
         c0 = time.process_time()
-        try:
-            res = app.run(**kwargs)
-        finally:
-            rt.shutdown()
+        res = app.run(**kwargs)
         cpu = time.process_time() - c0
         stats = res.stats
         return {
@@ -267,11 +244,6 @@ def main(argv=None) -> int:
         help="conservative DES shards (1 = sequential drain)",
     )
     parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="run shards in forked worker processes (requires --shards > 1)",
-    )
-    parser.add_argument(
         "--batch",
         dest="batch",
         action="store_true",
@@ -307,36 +279,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.parallel and args.shards < 2:
-        parser.error("--parallel requires --shards of at least 2")
-    cores = os.cpu_count() or 1
-    if args.parallel and cores < args.shards:
-        # A 1-core container timing N forked workers measures scheduler
-        # thrash, not the simulator; record an explicit skip entry so
-        # readers of the JSON see *why* the number is absent instead of
-        # a misleading slowdown.
-        entry = {
-            "python": platform.python_version(),
-            "quick": args.quick,
-            "shards": args.shards,
-            "parallel": True,
-            "cpu_count": cores,
-            "skipped": (
-                f"skipped ({cores} core{'' if cores == 1 else 's'}): "
-                f"{args.shards} forked shard workers need at least "
-                f"{args.shards} cores for a meaningful wall-clock number; "
-                f"run on a multi-core host (the CI multi-core leg does)"
-            ),
-            "workloads": {},
-        }
-        existing = {}
-        if args.output.exists():
-            existing = json.loads(args.output.read_text())
-        existing.setdefault("entries", {})[args.label] = entry
-        args.output.write_text(json.dumps(existing, indent=2) + "\n")
-        print(entry["skipped"])
-        print(f"wrote {args.output}")
-        return 0
     workloads = QUICK_WORKLOADS if args.quick else FULL_WORKLOADS
     if args.fault_guard:
         # best-of-3 minimum: the guard compares two identical code paths,
@@ -354,7 +296,6 @@ def main(argv=None) -> int:
         "numpy": numpy_version,
         "quick": args.quick,
         "shards": args.shards,
-        "parallel": args.parallel,
         "batch": args.batch,
         "cpu_count": os.cpu_count(),
         "workloads": {},
@@ -369,7 +310,6 @@ def main(argv=None) -> int:
             kwargs,
             args.repeats,
             shards=args.shards,
-            parallel=args.parallel,
             batch=args.batch,
         )
         entry["workloads"][name] = result

@@ -67,10 +67,7 @@ def run_once(faults=None, reliable=False):
         block_size=BENCH_BLOCK_SIZE,
     )
     t0 = time.perf_counter()
-    try:
-        res = app.run(iterations=3)
-    finally:
-        rt.shutdown()
+    res = app.run(iterations=3)
     return {
         "ranks": list(res.ranks),
         "stats": rt.sim.stats,

@@ -18,8 +18,8 @@ point of issue and each actor lives on exactly one shard, so
 
 * the same plan over the same program yields bit-identical fault
   decisions on every run, and
-* a faulty run is **shard-count-invariant**: ``shards=1/2/4`` (and
-  ``parallel=True``) perturb the same messages at the same times, so
+* a faulty run is **shard-count-invariant**: ``shards=1/2/4`` perturb
+  the same messages at the same times, so
   stats, traces, and application results stay bit-identical across
   partitionings.
 

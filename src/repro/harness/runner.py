@@ -26,7 +26,7 @@ from repro.apps.tform import Record
 from repro.apps.triangle import TriangleCountApp
 from repro.graph.csr import CSRGraph
 from repro.machine.config import MachineConfig, bench_machine
-from repro.machine.simulator import QuiescenceStall, SimulationError
+from repro.machine.simulator import QuiescenceStall
 from repro.observe import make_recorder
 from repro.udweave import UpDownRuntime
 
@@ -76,7 +76,6 @@ def _bench_runtime(
     record,
     machine_overrides,
     shards: int = 1,
-    parallel: bool = False,
     faults=None,
     reliable=False,
     watchdog_cycles: Optional[float] = None,
@@ -87,7 +86,6 @@ def _bench_runtime(
         detailed_stats=detailed_stats,
         recorder=make_recorder(record),
         shards=shards,
-        parallel=parallel,
         faults=faults,
         reliable=reliable,
         watchdog_cycles=watchdog_cycles,
@@ -97,12 +95,6 @@ def _bench_runtime(
 def _attach_recorder(extra: Dict[str, Any], rt: UpDownRuntime) -> Dict[str, Any]:
     if rt.recorder is not None:
         extra["recorder"] = rt.recorder
-    # forked-worker runs expose the coordinator's transport counters
-    # (boundary bytes, ring overflows, barrier wait, window histogram);
-    # they live outside SimStats so fingerprints stay parallel-invariant
-    metrics = rt.sim.parallel_metrics()
-    if metrics is not None:
-        extra["parallel_metrics"] = metrics
     return extra
 
 
@@ -134,7 +126,6 @@ def run_pagerank(
     detailed_stats: bool = False,
     record=None,
     shards: int = 1,
-    parallel: bool = False,
     faults=None,
     reliable=False,
     watchdog_cycles: Optional[float] = None,
@@ -143,18 +134,15 @@ def run_pagerank(
 ) -> RunRecord:
     """One PageRank run on a fresh scaled machine; returns its RunRecord."""
     rt = _bench_runtime(
-        nodes, detailed_stats, record, machine_overrides, shards, parallel,
-        faults, reliable, watchdog_cycles,
+        nodes, detailed_stats, record, machine_overrides, shards, faults,
+        reliable, watchdog_cycles,
     )
     app = PageRankApp(
         rt, graph, max_degree=max_degree, mem_nodes=mem_nodes,
         block_size=BENCH_BLOCK_SIZE,
     )
-    try:
-        res = app.run(iterations=iterations, max_events=max_events)
-        _check_quiescence(rt, require_quiescence)
-    finally:
-        rt.shutdown()
+    res = app.run(iterations=iterations, max_events=max_events)
+    _check_quiescence(rt, require_quiescence)
     return RunRecord(
         nodes=nodes,
         seconds=res.elapsed_seconds,
@@ -176,7 +164,6 @@ def run_bfs(
     detailed_stats: bool = False,
     record=None,
     shards: int = 1,
-    parallel: bool = False,
     faults=None,
     reliable=False,
     watchdog_cycles: Optional[float] = None,
@@ -185,8 +172,8 @@ def run_bfs(
 ) -> RunRecord:
     """One BFS run on a fresh scaled machine; returns its RunRecord."""
     rt = _bench_runtime(
-        nodes, detailed_stats, record, machine_overrides, shards, parallel,
-        faults, reliable, watchdog_cycles,
+        nodes, detailed_stats, record, machine_overrides, shards, faults,
+        reliable, watchdog_cycles,
     )
     app = BFSApp(
         rt,
@@ -196,11 +183,8 @@ def run_bfs(
         frontier_mem_nodes=frontier_mem_nodes,
         block_size=BENCH_BLOCK_SIZE,
     )
-    try:
-        res = app.run(root=root, max_events=max_events)
-        _check_quiescence(rt, require_quiescence)
-    finally:
-        rt.shutdown()
+    res = app.run(root=root, max_events=max_events)
+    _check_quiescence(rt, require_quiescence)
     return RunRecord(
         nodes=nodes,
         seconds=res.elapsed_seconds,
@@ -225,7 +209,6 @@ def run_triangle_count(
     detailed_stats: bool = False,
     record=None,
     shards: int = 1,
-    parallel: bool = False,
     faults=None,
     reliable=False,
     watchdog_cycles: Optional[float] = None,
@@ -234,17 +217,14 @@ def run_triangle_count(
 ) -> RunRecord:
     """One TC run on a fresh scaled machine; returns its RunRecord."""
     rt = _bench_runtime(
-        nodes, detailed_stats, record, machine_overrides, shards, parallel,
-        faults, reliable, watchdog_cycles,
+        nodes, detailed_stats, record, machine_overrides, shards, faults,
+        reliable, watchdog_cycles,
     )
     app = TriangleCountApp(
         rt, graph, pbmw=pbmw, mem_nodes=mem_nodes, block_size=BENCH_BLOCK_SIZE
     )
-    try:
-        res = app.run(max_events=max_events)
-        _check_quiescence(rt, require_quiescence)
-    finally:
-        rt.shutdown()
+    res = app.run(max_events=max_events)
+    _check_quiescence(rt, require_quiescence)
     return RunRecord(
         nodes=nodes,
         seconds=res.elapsed_seconds,
@@ -263,7 +243,6 @@ def run_ingestion(
     detailed_stats: bool = False,
     record=None,
     shards: int = 1,
-    parallel: bool = False,
     faults=None,
     reliable=False,
     watchdog_cycles: Optional[float] = None,
@@ -272,15 +251,12 @@ def run_ingestion(
 ) -> RunRecord:
     """One ingestion run on a fresh scaled machine; returns its RunRecord."""
     rt = _bench_runtime(
-        nodes, detailed_stats, record, machine_overrides, shards, parallel,
-        faults, reliable, watchdog_cycles,
+        nodes, detailed_stats, record, machine_overrides, shards, faults,
+        reliable, watchdog_cycles,
     )
     app = IngestionApp(rt, records, block_words=block_words)
-    try:
-        res = app.run(max_events=max_events)
-        _check_quiescence(rt, require_quiescence)
-    finally:
-        rt.shutdown()
+    res = app.run(max_events=max_events)
+    _check_quiescence(rt, require_quiescence)
     return RunRecord(
         nodes=nodes,
         seconds=res.elapsed_seconds,
@@ -298,7 +274,6 @@ def run_partial_match(
     detailed_stats: bool = False,
     record=None,
     shards: int = 1,
-    parallel: bool = False,
     faults=None,
     reliable=False,
     watchdog_cycles: Optional[float] = None,
@@ -307,17 +282,14 @@ def run_partial_match(
 ) -> RunRecord:
     """One partial-match stream on a fresh scaled machine (latency metric)."""
     rt = _bench_runtime(
-        nodes, detailed_stats, record, machine_overrides, shards, parallel,
-        faults, reliable, watchdog_cycles,
+        nodes, detailed_stats, record, machine_overrides, shards, faults,
+        reliable, watchdog_cycles,
     )
     app = PartialMatchApp(rt, patterns)
-    try:
-        res = app.run_stream(
-            records, gap_cycles=gap_cycles, max_events=max_events
-        )
-        _check_quiescence(rt, require_quiescence)
-    finally:
-        rt.shutdown()
+    res = app.run_stream(
+        records, gap_cycles=gap_cycles, max_events=max_events
+    )
+    _check_quiescence(rt, require_quiescence)
     return RunRecord(
         nodes=nodes,
         seconds=res.mean_latency_seconds,
@@ -338,7 +310,6 @@ def run_service(
     detailed_stats: bool = False,
     record="histograms",
     shards: int = 1,
-    parallel: bool = False,
     faults=None,
     reliable=False,
     watchdog_cycles: Optional[float] = None,
@@ -364,15 +335,9 @@ def run_service(
     """
     from repro.service import DEFAULT_PATTERNS, ServiceApp, ServiceHarness
 
-    if parallel:
-        raise SimulationError(
-            "run_service needs bounded stepping (run(until=)), which "
-            "forked workers (parallel=True) cannot do; use in-process "
-            "shards (parallel=False) instead"
-        )
     rt = _bench_runtime(
-        nodes, detailed_stats, record, machine_overrides, shards, parallel,
-        faults, reliable, watchdog_cycles,
+        nodes, detailed_stats, record, machine_overrides, shards, faults,
+        reliable, watchdog_cycles,
     )
     app = ServiceApp(
         rt, patterns=patterns if patterns is not None else DEFAULT_PATTERNS
@@ -383,10 +348,7 @@ def run_service(
         step_cycles=step_cycles,
         drain_grace_cycles=drain_grace_cycles,
     )
-    try:
-        res = harness.run(requests, slo=slo, max_events=max_events)
-    finally:
-        rt.shutdown()
+    res = harness.run(requests, slo=slo, max_events=max_events)
     completed = res.status_counts["ok"] + res.status_counts["deadline_miss"]
     return RunRecord(
         nodes=nodes,

@@ -76,21 +76,6 @@ class MachineConfig:
     #: prove batch-safe, and drain modes other than the plain sequential
     #: one, fall back to per-event interpretation automatically.
     batch_dispatch: bool = False
-    #: capacity of each shared-memory boundary ring in KiB for
-    #: ``parallel=True`` forked workers (one ring per ordered shard
-    #: pair).  Purely a performance knob: when a window's boundary
-    #: traffic overflows a ring, the excess spills to the pickled-Pipe
-    #: channel (counted in the hub metrics), never losing records.
-    parallel_ring_kib: int = 256
-    #: cap on adaptive lookahead widening for ``parallel=True``: after a
-    #: quiet window (zero cross-shard boundary records) the next window
-    #: doubles its width, up to this multiple of
-    #: ``conservative_lookahead_cycles``; any boundary record collapses
-    #: it back to 1.  Set to 1 to disable widening.  Widened windows run
-    #: internally as base-lookahead sub-steps synchronized through
-    #: shared memory, so conservatism (and bit-exactness) is preserved
-    #: at any setting.
-    parallel_adaptive_max: int = 8
     costs: CostTable = field(default_factory=lambda: DEFAULT_COSTS)
 
     def __post_init__(self) -> None:
@@ -104,13 +89,6 @@ class MachineConfig:
             raise ValueError("remote DRAM latency ratio must be >= 1")
         if not (0.0 < self.remote_dram_bandwidth_ratio <= 1.0):
             raise ValueError("remote DRAM bandwidth ratio must be in (0, 1]")
-        if self.parallel_ring_kib < 4:
-            raise ValueError(
-                "parallel_ring_kib must be >= 4 (one ring must hold at "
-                "least a handful of boundary frames)"
-            )
-        if self.parallel_adaptive_max < 1:
-            raise ValueError("parallel_adaptive_max must be >= 1")
         self.costs.validate()
 
     # ------------------------------------------------------------------
@@ -222,7 +200,7 @@ class MachineConfig:
 
     @property
     def conservative_lookahead_cycles(self) -> float:
-        """Safe epoch window for conservative parallel execution.
+        """Safe epoch window for conservative sharded execution.
 
         No interaction between two *different* nodes can take effect
         sooner than this many cycles after it is issued: cross-node

@@ -1,16 +1,15 @@
-"""Conservative epoch-windowed parallel execution of the sharded DES.
+"""Conservative epoch-windowed sharded execution of the DES.
 
-The authors' Fastsim is a parallel C++/OpenMP simulator; this module is
-the equivalent capability for the Python DES.  The machine's nodes are
-partitioned into contiguous shards, each owning a per-shard event heap
-plus the lanes, DRAM channel, and injection/reply channels of its nodes.
-An epoch driver repeatedly:
+The authors' Fastsim is a parallel C++/OpenMP simulator; this module
+carries its partitioning discipline over to the Python DES.  The
+machine's nodes are split into contiguous shards, each owning a
+per-shard event heap plus the lanes, DRAM channel, and injection/reply
+channels of its nodes.  An epoch driver repeatedly:
 
 1. finds the global next-event time ``T`` (the min over shard heaps);
 2. advances every shard independently through the window
    ``[T, T + lookahead)``;
-3. exchanges the boundary events each shard issued for the others, then
-   repeats.
+3. repeats, cross-shard pushes having landed in their target heaps.
 
 ``lookahead`` is :attr:`MachineConfig.conservative_lookahead_cycles` —
 the minimum number of cycles any cross-node interaction needs to take
@@ -28,180 +27,26 @@ by the *issuing* actor from its private counter (see
 exactly one shard, so the keys a sharded run assigns are byte-for-byte
 the keys the sequential run assigns, and each shard pops exactly the
 sequential event sequence restricted to its nodes.  Combined with strict
-node-ownership of all cost-model state (channels, memory, lanes) and the
-window-barrier exchange of everything that crosses shards, every counter,
-timestamp, and mailbox entry is bit-identical to the sequential drain.
+node-ownership of all cost-model state (channels, memory, lanes), every
+counter, timestamp, and mailbox entry is bit-identical to the sequential
+drain.
 
-Two modes share the same windowing and merge order:
-
-* :class:`ShardScheduler` — in-process (``shards=N``): one simulator,
-  per-shard heaps, windows executed round-robin under the GIL.  No
-  speedup (it exists for tests, debugging, and as the reference the
-  parity suite checks the parallel mode against), but the full sharding
-  semantics.
-* :class:`ParallelExecutor` — multiprocessing (``parallel=True``): one
-  forked worker per shard, inheriting the full runtime state copy-on-
-  write.  Boundary records flow *directly between workers* through
-  shared-memory ring buffers (one fixed-capacity ring per ordered shard
-  pair, struct-packed wire frames with per-stream label interning — see
-  ``repro.machine.events``); the parent degrades to a window
-  coordinator exchanging only small control tuples over the Pipes.
-
-Adaptive lookahead
-------------------
-When a full window completes with **zero** cross-shard boundary
-records, the next window doubles its width, up to
-``parallel_adaptive_max`` base lookaheads; the moment any shard emits a
-boundary record the width collapses back to one.  A widened window of
-``k`` lookaheads runs internally as ``k`` sub-steps of exactly one
-lookahead each, synchronized worker-to-worker through shared progress
-counters (a CMB-style barrier that never touches the parent): before
-executing global sub-step ``g`` a worker waits until every peer has
-published sub-step ``g`` and drains its inbound rings.  A record
-delivered inside sub-step ``g`` was necessarily emitted in a sub-step
-``<= g-1`` (conservative lookahead bounds delivery at one sub-step
-width past emission), so the wait guarantees it has arrived — windows
-stay conservative at any widening factor and fingerprints remain
-bit-exact.
-
-All shared-memory cursors and counters are read and written exclusively
-under one ``multiprocessing.Array`` lock; the mutex acquire/release
-pairs provide the happens-before edges between a producer's payload
-writes and a consumer's reads (CPython offers no portable fences).
-Ring payload bytes themselves are written outside the lock — a consumer
-never reads past the published cursor.
-
-Ring capacity (``parallel_ring_kib``) is a performance knob, never a
-correctness one: frames that do not fit at a window's final publish
-spill to the old pickled-blob Pipe channel (relayed by the parent,
-counted in the hub metrics); frames mid-window spin for space while
-draining their own inbound rings, which keeps the fabric deadlock-free.
-
-Worker processes are daemonic and persist across drains (lane, thread,
-and scratchpad state lives in them between ``run()`` calls).  Host-side
-mutations after the first parallel drain are limited to new injections —
-those are forwarded.  Everything else the host does between drains is
-invisible to the forked workers: direct writes into memory regions or
-lane scratchpads, and registrations of thread classes, KVMSR jobs, or
-host mailbox labels.  Registrations are *detected* (via the runtime's
-setup token) and rejected with a clear error; multi-phase applications
-that set up between runs should use in-process sharding (``shards=N``),
-which shares everything and needs no replication.
+:class:`ShardScheduler` runs the shards in one process, round-robin
+under the GIL (``shards=N``).  It is no faster than the sequential
+drain; it exists to pin the sharding semantics — the parity suites
+check every shard count against the sequential fingerprint — and as the
+reference a future multi-core executor would have to match.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import multiprocessing
-import multiprocessing.connection
-import os
-import pickle
-import sys
-import tempfile
-import time
-import traceback
-from multiprocessing import shared_memory
-from typing import Any, Dict, List, Optional
-
-from .events import BoundaryDecoder, BoundaryEncoder
-from .simulator import QuiescenceStall, SimulationError
+from typing import List, Optional
 
 
-class ShardWorkerFailed(SimulationError):
-    """A forked shard worker died instead of answering the coordinator.
-
-    Carries which worker (``shard``, ``None`` when only the pipe end is
-    known), its ``exitcode``, the last epoch ``window`` the pool
-    completed before the failure — the point to restart analysis from —
-    and ``stderr_tail``, the last ~2 KB the dead worker wrote to its
-    captured stderr (empty when it wrote nothing).  The pool is torn
-    down before this is raised; no orphaned workers or open pipes
-    remain.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        shard: Optional[int] = None,
-        exitcode: Optional[int] = None,
-        window: Optional[tuple] = None,
-        stderr_tail: str = "",
-    ) -> None:
-        if stderr_tail:
-            message = f"{message}\nworker stderr tail:\n{stderr_tail}"
-        super().__init__(message)
-        self.shard = shard
-        self.exitcode = exitcode
-        self.window = window
-        self.stderr_tail = stderr_tail
-
-
-def _dumps(obj: Any) -> bytes:
-    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def make_scheduler(sim):
-    """The shard scheduler matching ``sim``'s configuration."""
-    if sim.parallel:
-        return ParallelExecutor(sim)
-    return ShardScheduler(sim)
-
-
-class _ShardRouter:
-    """Topology arithmetic shared by both execution modes."""
-
-    def __init__(self, sim) -> None:
-        self.sim = sim
-        self.shards: int = sim.shards
-        cfg = sim.config
-        self.lookahead: float = cfg.conservative_lookahead_cycles
-        self.total_lanes: int = cfg.total_lanes
-        self.lanes_per_node: int = cfg.lanes_per_node
-        self.shard_of_node: List[int] = sim._shard_of_node
-        #: nodes owned by each shard (contiguous blocks).
-        self.shard_nodes: List[List[int]] = [
-            [] for _ in range(self.shards)
-        ]
-        for node, shard in enumerate(self.shard_of_node):
-            self.shard_nodes[shard].append(node)
-
-    def shard_of_entry(self, entry) -> int:
-        """Owning shard of a heap entry (lane delivery or DRAM arrival)."""
-        dest = entry[1]
-        if dest >= self.total_lanes:
-            node = dest - self.total_lanes
-        else:
-            node = dest // self.lanes_per_node
-        return self.shard_of_node[node]
-
-    def _flush_host(self) -> None:
-        """Deliver collected host-bound entries in sequential order.
-
-        The host mailbox has no feedback into the simulation, so host
-        deliveries are buffered during windows and appended at drain end,
-        sorted by the same ``(time, seq)`` key the sequential pop loop
-        orders them by — the resulting inbox is bit-identical.
-        """
-        entries = self._host_entries
-        if not entries:
-            return
-        entries.sort(key=lambda e: (e[0], e[2]))
-        sim = self.sim
-        inbox = sim.host_inbox
-        stats = sim.stats
-        final_tick = stats.final_tick
-        for entry in entries:
-            t = entry[0]
-            inbox.append((t, entry[3]))
-            if t > final_tick:
-                final_tick = t
-        stats.final_tick = final_tick
-        entries.clear()
-
-
-class ShardScheduler(_ShardRouter):
-    """In-process conservative epoch driver (``shards=N, parallel=False``).
+class ShardScheduler:
+    """In-process conservative epoch driver (``shards=N``).
 
     Hooks ``Simulator._route`` so every push lands in the owning shard's
     heap (host-bound entries are buffered — the host is outside the
@@ -213,7 +58,13 @@ class ShardScheduler(_ShardRouter):
     """
 
     def __init__(self, sim) -> None:
-        super().__init__(sim)
+        self.sim = sim
+        self.shards: int = sim.shards
+        cfg = sim.config
+        self.lookahead: float = cfg.conservative_lookahead_cycles
+        self.total_lanes: int = cfg.total_lanes
+        self.lanes_per_node: int = cfg.lanes_per_node
+        self.shard_of_node: List[int] = sim._shard_of_node
         self.heaps: List[list] = [[] for _ in range(self.shards)]
         self._host_entries: List[tuple] = []
         #: persistent epoch-window end — survives bounded ``drain(until=)``
@@ -225,6 +76,15 @@ class ShardScheduler(_ShardRouter):
         pending, sim._heap = sim._heap, []
         for entry in pending:
             self._route(entry)
+
+    def shard_of_entry(self, entry) -> int:
+        """Owning shard of a heap entry (lane delivery or DRAM arrival)."""
+        dest = entry[1]
+        if dest >= self.total_lanes:
+            node = dest - self.total_lanes
+        else:
+            node = dest // self.lanes_per_node
+        return self.shard_of_node[node]
 
     def _route(self, entry) -> None:
         if entry[1] < 0:
@@ -283,1074 +143,26 @@ class ShardScheduler(_ShardRouter):
         )
         return stats
 
-    def close(self) -> None:
-        """Nothing to release in-process."""
+    def _flush_host(self) -> None:
+        """Deliver collected host-bound entries in sequential order.
 
-
-class _RingHub:
-    """Shared-memory boundary fabric for one worker pool.
-
-    One :mod:`multiprocessing.shared_memory` segment holds ``S * S``
-    fixed-capacity rings (ring ``p → q`` at byte offset
-    ``(p*S + q) * capacity``; the ``p == q`` diagonal is dead space kept
-    for trivially uniform arithmetic).  One locked ``Array('q')`` holds
-    the control words, laid out as::
-
-        [0, S)              progress counter of shard p (published
-                            window sub-steps, monotone)
-        [S, S + S*S)        published write cursor of ring p→q
-                            (total bytes, monotone; index = S + p*S + q)
-        [S + S*S, S + 2S*S) read cursor of ring p→q (written only by
-                            consumer q; index = S + S*S + p*S + q)
-
-    Created in the parent before forking; children inherit the mapping
-    and the lock, so no name-based attach is needed and child exits via
-    ``os._exit`` never double-free it.  Only the parent releases it.
-    """
-
-    def __init__(self, shards: int, capacity: int, ctx) -> None:
-        self.shards = shards
-        self.capacity = capacity
-        self.shm = shared_memory.SharedMemory(
-            create=True, size=shards * shards * capacity
-        )
-        self.ctrl = ctx.Array("q", shards + 2 * shards * shards, lock=True)
-        self._released = False
-
-    def release(self) -> None:
-        """Close and unlink the segment (idempotent, parent-only)."""
-        if self._released:
+        The host mailbox has no feedback into the simulation, so host
+        deliveries are buffered during windows and appended at drain end,
+        sorted by the same ``(time, seq)`` key the sequential pop loop
+        orders them by — the resulting inbox is bit-identical.
+        """
+        entries = self._host_entries
+        if not entries:
             return
-        self._released = True
-        try:
-            self.shm.close()
-        except Exception:
-            pass
-        try:
-            self.shm.unlink()
-        except Exception:
-            pass
-
-
-class _WorkerPort:
-    """One worker's endpoint on the ring fabric.
-
-    Owns the outbound rings ``me → *`` (write cursors mirrored locally —
-    nobody else writes them) and the inbound read cursors ``* → me``
-    (likewise).  Encoders/decoders are per ordered stream so label
-    interning announcements always precede cached uses, including across
-    the spill path (a spilled frame continues its ring's stream and is
-    decoded after every ring frame of the same window — producer order
-    is preserved end to end).
-
-    ``pending_wlogs`` holds decoded foreign functional-memory writes as
-    ``(producer, step, va, values)``: frames may physically arrive up to
-    one sub-step early (immediate cursor publication is what lets a
-    producer free ring space mid-flush), so application is deferred
-    until the consumer's own progress passes the producer's emission
-    sub-step — the visible write order is then a pure function of the
-    simulation, not of scheduling jitter.
-    """
-
-    _SPIN_YIELDS = 64
-    _SPIN_SLEEP_S = 0.0005
-    _SPIN_DEADLINE_S = 600.0
-
-    def __init__(self, hub: _RingHub, shard: int) -> None:
-        self.me = shard
-        S = self.shards = hub.shards
-        self.cap = hub.capacity
-        self.buf = hub.shm.buf
-        self.lock = hub.ctrl.get_lock()
-        self.c = hub.ctrl.get_obj()
-        self.enc = [BoundaryEncoder() for _ in range(S)]
-        self.dec = [BoundaryDecoder() for _ in range(S)]
-        #: published write cursors of my outbound rings (local mirror).
-        self.wr = [0] * S
-        #: my read positions on inbound rings (local mirror).
-        self.rd = [0] * S
-        #: cached view of each consumer's read cursor on my outbound
-        #: ring — refreshed under the lock only when space looks short.
-        self.peer_rd = [0] * S
-        #: my published progress counter (total window sub-steps).
-        self.step = 0
-        self.pending_wlogs: List[tuple] = []
-        # transport metrics (shipped to the parent hub)
-        self.bytes_out = 0
-        self.frames_out = 0
-        self.barrier_wait_s = 0.0
-
-    def _wr_idx(self, p: int, q: int) -> int:
-        return self.shards + p * self.shards + q
-
-    def _rd_idx(self, p: int, q: int) -> int:
-        return self.shards + self.shards * self.shards + p * self.shards + q
-
-    def try_write(self, target: int, payload: bytes, drain_cb, may_spill: bool) -> bool:
-        """Frame ``payload`` onto ring ``me → target``.
-
-        Returns ``False`` — caller must spill to the Pipe channel — only
-        when ``may_spill`` (a window's final publish, where the parent
-        relay still reaches the consumer before anything can execute the
-        records).  Mid-window the frame *must* travel by ring, so a full
-        ring spins for space, draining our own inbound rings while
-        waiting: every mid-window wait in the fabric drains, so some
-        consumer always makes progress and the spin cannot deadlock.
-        """
-        n = len(payload) + 4
-        cap = self.cap
-        me = self.me
-        if n > cap:
-            if may_spill:
-                return False
-            raise SimulationError(
-                f"a boundary frame of {n} bytes exceeds the shared ring "
-                f"capacity ({cap} bytes) and cannot be deferred "
-                f"mid-window; raise parallel_ring_kib or lower "
-                f"parallel_adaptive_max"
-            )
-        peer_rd = self.peer_rd
-        wr = self.wr
-        if cap - (wr[target] - peer_rd[target]) < n:
-            rd_idx = self._rd_idx(me, target)
-            deadline = None
-            spins = 0
-            while True:
-                with self.lock:
-                    peer_rd[target] = self.c[rd_idx]
-                if cap - (wr[target] - peer_rd[target]) >= n:
-                    break
-                if may_spill:
-                    return False
-                if deadline is None:
-                    deadline = time.monotonic() + self._SPIN_DEADLINE_S
-                elif time.monotonic() > deadline:
-                    raise SimulationError(
-                        f"shard {me} waited more than "
-                        f"{int(self._SPIN_DEADLINE_S)}s for shard {target} "
-                        f"to drain a full boundary ring; a peer worker is "
-                        f"stalled or dead"
-                    )
-                drain_cb()
-                spins += 1
-                time.sleep(0 if spins <= self._SPIN_YIELDS else self._SPIN_SLEEP_S)
-        pos = wr[target] % cap
-        base = (me * self.shards + target) * cap
-        data = (n - 4).to_bytes(4, "little") + payload
-        end = pos + n
-        buf = self.buf
-        if end <= cap:
-            buf[base + pos : base + end] = data
-        else:
-            k = cap - pos
-            buf[base + pos : base + cap] = data[:k]
-            buf[base : base + end - cap] = data[k:]
-        wr[target] += n
-        # Publish immediately (not at sub-step end): consumers may
-        # legally decode frames of a sub-step still in progress — entry
-        # records self-gate by delivery time and wlogs defer by step tag
-        # — and immediate publication is what lets a consumer free ring
-        # space while we are mid-flush.
-        with self.lock:
-            self.c[self._wr_idx(me, target)] = wr[target]
-        self.bytes_out += n
-        self.frames_out += 1
-        return True
-
-    def drain(self, entry_cb) -> None:
-        """Consume every published inbound frame.
-
-        Entries go to ``entry_cb`` immediately (the heap gates them by
-        delivery time); wlog frames queue in :attr:`pending_wlogs` for
-        the caller's next deterministic application point.
-        """
-        S, me, cap = self.shards, self.me, self.cap
-        c, buf, rd = self.c, self.buf, self.rd
-        with self.lock:
-            wr = [c[self._wr_idx(p, me)] for p in range(S)]
-        moved = False
-        pending = self.pending_wlogs
-        for p in range(S):
-            if p == me:
-                continue
-            have = wr[p] - rd[p]
-            if not have:
-                continue
-            moved = True
-            base = (p * S + me) * cap
-            start = rd[p] % cap
-            end = start + have
-            if end <= cap:
-                region = bytes(buf[base + start : base + end])
-            else:
-                region = bytes(buf[base + start : base + cap]) + bytes(
-                    buf[base : base + end - cap]
-                )
-            pos = 0
-            decode = self.dec[p].decode_frame
-            while pos < have:
-                n = int.from_bytes(region[pos : pos + 4], "little")
-                frame = decode(region, pos + 4)
-                pos += 4 + n
-                if frame[0] == "entry":
-                    entry_cb(frame[1])
-                else:
-                    pending.append((p, frame[3], frame[1], frame[2]))
-            rd[p] += have
-        if moved:
-            with self.lock:
-                for p in range(S):
-                    if p != me:
-                        c[self._rd_idx(p, me)] = rd[p]
-
-    def wait_for(self, value: int, drain_cb) -> None:
-        """Block until every peer's progress counter reaches ``value``.
-
-        Drains inbound rings while spinning (a peer may be blocked on
-        *our* consumption) and accounts the elapsed time as barrier
-        wait.
-        """
-        me, S, c = self.me, self.shards, self.c
-        t0 = time.monotonic()
-        deadline = t0 + self._SPIN_DEADLINE_S
-        spins = 0
-        while True:
-            with self.lock:
-                ok = True
-                for p in range(S):
-                    if p != me and c[p] < value:
-                        ok = False
-                        break
-            if ok:
-                break
-            drain_cb()
-            spins += 1
-            time.sleep(0 if spins <= self._SPIN_YIELDS else self._SPIN_SLEEP_S)
-            if time.monotonic() > deadline:
-                raise SimulationError(
-                    f"shard {me} waited more than "
-                    f"{int(self._SPIN_DEADLINE_S)}s for peers to reach "
-                    f"window sub-step {value}; a peer worker is stalled "
-                    f"or dead"
-                )
-        self.barrier_wait_s += time.monotonic() - t0
-
-    def publish(self, value: int) -> None:
-        """Advance my progress counter to ``value`` (sub-steps done)."""
-        with self.lock:
-            self.c[self.me] = value
-        self.step = value
-
-
-class ParallelExecutor(_ShardRouter):
-    """Forked worker pool running one shard per process.
-
-    The parent never executes events after the fork: it is the window
-    coordinator.  Per window it sends one ``run(T, nsteps, budget)``
-    control tuple per worker and receives one
-    ``out(executed, progress, next_t, emitted, ring_bytes, spill)``
-    tuple back — all boundary records travel worker-to-worker through
-    the :class:`_RingHub` shared-memory rings, so healthy-path parent
-    CPU work per window is O(control tuple), not O(boundary bytes).
-    Only ring overflow (counted in :attr:`hub_metrics`) routes records
-    through the parent, via an extra ``spill`` round.
-
-    At drain end (all heaps empty, nothing in flight) each worker ships
-    its per-drain state deltas — statistics, recorder telemetry, channel
-    states, host-bound entries, the cumulative functional-memory write
-    log — in one batch; the parent merges them so callers see exactly
-    what a sequential run would have produced.
-    """
-
-    def __init__(self, sim) -> None:
-        super().__init__(sim)
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise SimulationError(
-                "parallel=True requires the fork start method (POSIX); "
-                "use shards with parallel=False on this platform"
-            )
-        self._procs: Optional[list] = None
-        self._conns: Optional[list] = None
-        self._hub: Optional[_RingHub] = None
-        self._stderr_paths: Optional[List[str]] = None
-        self._host_entries: List[tuple] = []
-        self._fork_token = None
-        self._broken = False
-        #: last fully exchanged epoch window ``(T, window_end)`` —
-        #: named in :class:`ShardWorkerFailed` when a worker dies.
-        self._last_window: Optional[tuple] = None
-        cfg = sim.config
-        #: host-side transport metrics (deliberately outside ``SimStats``
-        #: — they describe the coordinator, not the simulated machine,
-        #: and must not perturb sequential-vs-parallel fingerprints).
-        self.hub_metrics: Dict[str, Any] = {
-            "windows": 0,
-            "window_hist": {},
-            "boundary_bytes": 0,
-            "boundary_records": 0,
-            "ring_overflows": 0,
-            "spill_phases": 0,
-            "barrier_wait_s": 0.0,
-            "adaptive_max": cfg.parallel_adaptive_max,
-            "ring_kib": cfg.parallel_ring_kib,
-        }
-
-    # ------------------------------------------------------------------
-    # Parent side
-    # ------------------------------------------------------------------
-
-    def drain(self, max_events: Optional[int], until: Optional[float] = None):
+        entries.sort(key=lambda e: (e[0], e[2]))
         sim = self.sim
-        if until is not None:
-            raise SimulationError(
-                "bounded stepping (until=) is not supported with "
-                "parallel=True forked workers; use in-process shards"
-            )
-        if self._broken:
-            raise SimulationError(
-                "parallel executor is no longer usable (a worker failed "
-                "or the pool was shut down); build a fresh runtime"
-            )
-        if self._procs is None:
-            self._fork()
-        elif any(proc.exitcode is not None for proc in self._procs):
-            # A worker died between drains (OOM kill, crash during a
-            # previous abort path): fail loudly now, not with a hung
-            # pipe read mid-window.
-            err = self._dead_worker_error()
-            self._abort()
-            raise err
-        elif (
-            sim._setup_token is not None
-            and sim._setup_token() != self._fork_token
-        ):
-            self._abort()
-            raise SimulationError(
-                "host-side program setup changed after the parallel "
-                "workers forked (thread classes, KVMSR jobs, or host "
-                "mailbox labels registered between run() calls); forked "
-                "workers cannot observe host-process registrations. "
-                "Complete all setup before the first run(), or use "
-                "in-process sharding (shards=N, parallel=False) for "
-                "multi-phase applications that set up between runs."
-            )
-        conns = self._conns
-        metrics = self.hub_metrics
-        # forward injections buffered in the parent since the last drain
-        pending, sim._heap = sim._heap, []
-        seeds: List[list] = [[] for _ in range(self.shards)]
-        for entry in pending:
-            if entry[1] < 0:
-                self._host_entries.append(entry)
-            else:
-                seeds[self.shard_of_entry(entry)].append(entry)
-        for shard, conn in enumerate(conns):
-            batch = seeds[shard]
-            conn.send(("seed", _dumps(batch) if batch else None))
-        next_ts = [msg[1] for msg in self._recv_all("next")]
-        budget = max_events
-        lookahead = self.lookahead
-        adaptive_max = self.hub_metrics["adaptive_max"]
-        nsteps = 1
-        wd = sim._watchdog_cycles
-        hist = metrics["window_hist"]
-        while True:
-            t_next = min(
-                (t for t in next_ts if t is not None), default=None
-            )
-            if t_next is None:
-                break
-            window_end = t_next + nsteps * lookahead
-            for conn in conns:
-                conn.send(("run", t_next, nsteps, budget))
-            outs = self._recv_all("out")
-            self._last_window = (t_next, window_end)
-            metrics["windows"] += 1
-            hist[nsteps] = hist.get(nsteps, 0) + 1
-            if budget is not None:
-                budget -= sum(out[1] for out in outs)
-                if budget <= 0:
-                    self._abort()
-                    raise SimulationError(
-                        f"simulation exceeded max_events={max_events}"
-                    )
-            if wd is not None:
-                # Workers run the watchdog in report-only mode (a raise
-                # inside one shard would desynchronize the window
-                # protocol); the parent aggregates their progress marks
-                # and is the one that raises, with per-shard dumps.
-                progress = max(out[2] for out in outs)
-                if window_end - progress > wd:
-                    dump = self._collect_diagnostics()
-                    self._abort()
-                    raise QuiescenceStall(
-                        f"no application progress for "
-                        f"{window_end - progress:.0f} cycles (watchdog "
-                        f"threshold {wd:.0f}) across {self.shards} shard "
-                        f"workers; only idle/control events are executing",
-                        dump,
-                    )
-            emitted = sum(out[4] for out in outs)
-            metrics["boundary_records"] += emitted
-            metrics["boundary_bytes"] += sum(out[5] for out in outs)
-            next_ts = [out[3] for out in outs]
-            # Relay ring-overflow spills (rare: capacity exceeded at a
-            # final publish).  Each group keeps the producer identity so
-            # the consumer decodes with the matching stream state.
-            spill_to: Dict[int, list] = {}
-            n_spilled = 0
-            for producer, out in enumerate(outs):
-                spill = out[6]
-                if not spill:
-                    continue
-                for target, payloads in spill:
-                    spill_to.setdefault(target, []).append(
-                        (producer, payloads)
-                    )
-                    n_spilled += len(payloads)
-            if spill_to:
-                metrics["spill_phases"] += 1
-                metrics["ring_overflows"] += n_spilled
-                targets = sorted(spill_to)
-                for target in targets:
-                    conns[target].send(("spill", spill_to[target]))
-                replies = self._recv_all("next", shards=targets)
-                for target in targets:
-                    next_ts[target] = replies[target][1]
-            # Adaptive lookahead: a quiet window earns a doubled next
-            # window (capped); any boundary record collapses to base.
-            if emitted or adaptive_max == 1:
-                nsteps = 1
-            elif nsteps < adaptive_max:
-                nsteps = min(nsteps * 2, adaptive_max)
-        for conn in conns:
-            conn.send(("drain_end",))
-        finals = [msg[1] for msg in self._recv_all("final")]
-        self._merge(finals)
-        return sim.stats
-
-    def _recv_all(self, expected: str, shards: Optional[List[int]] = None):
-        """Collect one reply from each worker (or the given subset).
-
-        Uses :func:`multiprocessing.connection.wait` with a short
-        timeout plus exitcode polling: a sequential ``recv`` loop would
-        hang forever when a worker dies while its peers spin on the
-        shared-memory barrier waiting for it.
-
-        Returns a list indexed by shard when ``shards`` is ``None``,
-        else a dict keyed by the requested shard indices.
-        """
-        conns = self._conns
-        wanted = range(len(conns)) if shards is None else shards
-        by_conn = {conns[s]: s for s in wanted}
-        results: Dict[int, tuple] = {}
-        while by_conn:
-            ready = multiprocessing.connection.wait(
-                list(by_conn), timeout=0.2
-            )
-            if not ready:
-                procs = self._procs
-                if procs and any(p.exitcode is not None for p in procs):
-                    err = self._dead_worker_error()
-                    self._abort()
-                    raise err
-                continue
-            for conn in ready:
-                shard = by_conn.pop(conn)
-                try:
-                    msg = conn.recv()
-                except EOFError:
-                    # The pipe closed without a reply: the worker died
-                    # (OOM kill, segfault in an extension, os._exit).
-                    err = self._dead_worker_error()
-                    self._abort()
-                    raise err from None
-                if msg[0] == "error":
-                    failure = msg[1]
-                    self._abort()
-                    raise SimulationError(f"shard worker failed:\n{failure}")
-                if msg[0] != expected:
-                    self._abort()
-                    raise SimulationError(
-                        f"protocol error: expected {expected!r}, got "
-                        f"{msg[0]!r} from shard {shard}"
-                    )
-                results[shard] = msg
-        if shards is None:
-            return [results[s] for s in range(len(conns))]
-        return results
-
-    def _stderr_tail(self, shard: Optional[int], limit: int = 2048) -> str:
-        """Last ``limit`` bytes the given worker wrote to stderr."""
-        paths = self._stderr_paths
-        if shard is None or not paths or shard >= len(paths):
-            return ""
-        try:
-            with open(paths[shard], "rb") as fh:
-                fh.seek(0, os.SEEK_END)
-                size = fh.tell()
-                fh.seek(max(0, size - limit))
-                return fh.read().decode("utf-8", "replace").strip()
-        except OSError:
-            return ""
-
-    def _dead_worker_error(self) -> ShardWorkerFailed:
-        """Build the :class:`ShardWorkerFailed` naming the dead shard."""
-        dead = []
-        for shard, proc in enumerate(self._procs or []):
-            proc.join(timeout=0.5)
-            if proc.exitcode is not None:
-                dead.append((shard, proc.exitcode))
-        window = self._last_window
-        if window is not None:
-            where = (
-                f"after completing window "
-                f"[{window[0]:.0f}, {window[1]:.0f})"
-            )
-        else:
-            where = "before completing any window"
-        if dead:
-            shard, exitcode = dead[0]
-            return ShardWorkerFailed(
-                f"shard {shard} worker died (exit code {exitcode}) "
-                f"{where}; remaining workers were shut down",
-                shard=shard,
-                exitcode=exitcode,
-                window=window,
-                stderr_tail=self._stderr_tail(shard),
-            )
-        return ShardWorkerFailed(
-            f"a shard worker closed its pipe without replying {where}; "
-            f"remaining workers were shut down",
-            window=window,
-        )
-
-    def _collect_diagnostics(self) -> Dict[str, Any]:
-        """Best-effort per-shard stall dumps for a watchdog report.
-
-        Workers that fail to answer (already wedged or dead) are
-        reported as unavailable rather than blocking the raise.
-        """
-        dumps: Dict[str, Any] = {}
-        for shard, conn in enumerate(self._conns or []):
-            try:
-                conn.send(("diag",))
-                if conn.poll(10):
-                    msg = conn.recv()
-                    dumps[f"shard_{shard}"] = (
-                        msg[1] if msg[0] == "diag" else f"unexpected {msg[0]!r}"
-                    )
-                else:
-                    dumps[f"shard_{shard}"] = (
-                        "unavailable (worker not responding)"
-                    )
-            except Exception:
-                dumps[f"shard_{shard}"] = "unavailable (worker not responding)"
-        return dumps
-
-    def _fork(self) -> None:
-        sim = self.sim
-        if sim.dispatcher is None:
-            raise SimulationError("no dispatcher installed")
-        if sim._setup_token is not None:
-            self._fork_token = sim._setup_token()
-        ctx = multiprocessing.get_context("fork")
-        self._hub = _RingHub(
-            self.shards, sim.config.parallel_ring_kib * 1024, ctx
-        )
-        self._conns = []
-        self._procs = []
-        self._stderr_paths = []
-        stderr_fds = []
-        for shard in range(self.shards):
-            fd, path = tempfile.mkstemp(
-                prefix=f"des-shard-{shard}-stderr-", suffix=".log"
-            )
-            stderr_fds.append(fd)
-            self._stderr_paths.append(path)
-        try:
-            for shard in range(self.shards):
-                parent_conn, child_conn = ctx.Pipe()
-                proc = ctx.Process(
-                    target=self._worker_main,
-                    args=(shard, child_conn, stderr_fds[shard]),
-                    daemon=True,
-                    name=f"des-shard-{shard}",
-                )
-                proc.start()
-                child_conn.close()
-                self._conns.append(parent_conn)
-                self._procs.append(proc)
-        finally:
-            for fd in stderr_fds:
-                try:
-                    os.close(fd)
-                except OSError:
-                    pass
-
-    def _merge(self, finals: List[Dict[str, Any]]) -> None:
-        """Fold per-drain worker state deltas into the parent's objects."""
-        sim = self.sim
+        inbox = sim.host_inbox
         stats = sim.stats
-        for final in finals:
-            stats.absorb_delta(final["stats"])
-            stats.busy_cycles_by_lane.update(final["busy"])
-            labels = final["labels"]
-            if labels:
-                by_label = stats.events_by_label
-                for label, count in labels.items():
-                    by_label[label] += count
-            sim.network.apply_channels(final["channels"])
-            sim.memory.apply_channels(final["mem"])
-            self._host_entries.extend(final["host"])
-            self.hub_metrics["barrier_wait_s"] += final["hub"][
-                "barrier_wait_s"
-            ]
-        gmem = sim.funcmem
-        if gmem is not None:
-            # Replay every worker's functional-memory writes into the
-            # parent copy (hosts read result regions directly after
-            # run()), ordered by (sub-step, shard) — the same
-            # deterministic order the workers applied each other's
-            # writes in.
-            merged = []
-            for shard, final in enumerate(finals):
-                for idx, (step, va, values) in enumerate(final["wlog"]):
-                    merged.append((step, shard, idx, va, values))
-            merged.sort(key=lambda w: (w[0], w[1], w[2]))
-            write = gmem.write_words
-            for _step, _shard, _idx, va, values in merged:
-                write(va, values)
-        hostlog = sim.hostlog
-        if hostlog is not None:
-            fresh = [e for final in finals for e in final["udlog"]]
-            if fresh:
-                hostlog.entries.extend(fresh)
-                hostlog.entries.sort(
-                    key=lambda e: (e.tick, e.network_id, e.thread_id)
-                )
-        if sim.trace_enabled:
-            fresh = [t for final in finals for t in final["trace"]]
-            if fresh:
-                sim.trace.extend(fresh)
-                sim.trace.sort(
-                    key=lambda t: (
-                        t[0], t[1], -1 if t[2] is None else t[2], t[3], t[4]
-                    )
-                )
-        recorder = sim.recorder
-        if recorder is not None:
-            # Workers ship per-drain recorder deltas (they hand off to a
-            # fresh sibling after each drain), so merging into the live
-            # parent recorder is both O(delta) and safe for anything the
-            # parent itself recorded between drains.
-            for final in finals:
-                part = final["recorder"]
-                if part is not None:
-                    recorder.merge_from(part)
-            recorder.sort_timelines()
-        # quiescence verdict: every shard heap is empty at drain end by
-        # construction, so live threads are the whole story
-        pending = sum(final["pending"] for final in finals)
-        stats.pending_threads = pending
-        stats.quiesced = pending == 0
-        self._flush_host()
-
-    # ------------------------------------------------------------------
-    # Teardown
-    # ------------------------------------------------------------------
-
-    def _teardown(self, graceful: bool) -> None:
-        """Release workers, pipes, rings, and stderr capture files.
-
-        Idempotent and exception-free by construction: every step is
-        individually guarded, state is nulled before any blocking call,
-        and a second invocation (``close()`` after a failure ``_abort``,
-        ``__del__`` after ``close()``, atexit after either) finds
-        nothing left to do.
-        """
-        procs, self._procs = self._procs, None
-        conns, self._conns = self._conns, None
-        if procs:
-            # held simulation state died with the workers — the executor
-            # must not be reused
-            self._broken = True
-            if graceful:
-                for conn in conns:
-                    try:
-                        conn.send(("exit",))
-                    except Exception:
-                        pass
-            else:
-                for proc in procs:
-                    try:
-                        if proc.is_alive():
-                            proc.terminate()
-                    except Exception:
-                        pass
-            for proc in procs:
-                try:
-                    proc.join(timeout=5)
-                    if proc.is_alive():
-                        proc.terminate()
-                        proc.join(timeout=5)
-                except Exception:
-                    pass
-        if conns:
-            for conn in conns:
-                try:
-                    conn.close()
-                except Exception:
-                    pass
-        hub, self._hub = self._hub, None
-        if hub is not None:
-            hub.release()
-        paths, self._stderr_paths = self._stderr_paths, None
-        if paths:
-            for path in paths:
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent, including after a
-        failure abort and from ``__del__``/atexit).
-
-        After the pool held simulation state, the executor cannot be
-        reused — lane/thread state lived in the dead workers.
-        """
-        self._teardown(graceful=True)
-
-    def _abort(self) -> None:
-        self._teardown(graceful=False)
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self._teardown(graceful=False)
-        except BaseException:
-            pass
-
-    # ------------------------------------------------------------------
-    # Worker side (runs in the forked child)
-    # ------------------------------------------------------------------
-
-    def _worker_main(self, shard: int, conn, stderr_fd: int) -> None:
-        status = 0
-        try:
-            try:
-                # Capture everything the worker (or code it hosts) writes
-                # to stderr: if the process dies without a reply, the
-                # parent includes the tail in ShardWorkerFailed.  Rebind
-                # sys.stderr too — the inherited object may be a harness
-                # capture buffer not backed by fd 2 at all.
-                sys.stderr.flush()
-                os.dup2(stderr_fd, 2)
-                os.close(stderr_fd)
-                sys.stderr = open(2, "w", buffering=1, closefd=False)
-            except Exception:
-                pass
-            self._worker_loop(shard, conn)
-        except BaseException:
-            tb = traceback.format_exc()
-            try:
-                sys.stderr.write(tb)
-            except Exception:
-                pass
-            try:
-                conn.send(("error", tb))
-            except Exception:
-                pass
-            status = 1
-        finally:
-            try:
-                sys.stderr.flush()
-            except Exception:
-                pass
-            try:
-                conn.close()
-            except Exception:
-                pass
-            # skip atexit/teardown inherited from the parent process
-            os._exit(status)
-
-    def _worker_loop(self, shard: int, conn) -> None:
-        sim = self.sim
-        shards = self.shards
-        sim._scheduler = None  # this process is a plain windowed drainer
-        # a raise inside one worker would wedge the window protocol; the
-        # parent aggregates progress marks and raises QuiescenceStall
-        sim._wd_report_only = True
-        sim._heap = heap = []
-        heappush = heapq.heappush
-        port = _WorkerPort(self._hub, shard)
-        lookahead = self.lookahead
-        outbox: List[list] = [[] for _ in range(shards)]
-        host_out: List[tuple] = []
-        shard_of_entry = self.shard_of_entry
-
-        def route(entry) -> None:
-            dest = entry[1]
-            if dest < 0:
-                host_out.append(entry)
-                return
-            target = shard_of_entry(entry)
-            if target == shard:
-                heappush(heap, entry)
-            else:
-                outbox[target].append(entry)
-
-        sim._route = route
-
-        def entry_sink(entry) -> None:
-            heappush(heap, entry)
-
-        def drain_rings() -> None:
-            port.drain(entry_sink)
-
-        # log functional-memory writes for cross-process replication:
-        # each sub-step's writes broadcast to every peer through the
-        # rings, and the cumulative log ships to the parent at drain end
-        parent_wlog: List[tuple] = []
-        substep_wlog: List[tuple] = []
-        gmem = sim.funcmem
-        orig_write = None
-        if gmem is not None:
-            orig_write = gmem.write_words
-
-            def write_words(va, values):
-                vals = list(values)
-                parent_wlog.append((port.step, va, vals))
-                substep_wlog.append((va, vals))
-                orig_write(va, values)
-
-            gmem.write_words = write_words
-
-        def apply_wlogs(limit: Optional[int]) -> None:
-            """Apply queued foreign writes from sub-steps ``<= limit``.
-
-            Sorted by (sub-step, producer) — stable sort preserves each
-            producer's FIFO order — so the application order is the same
-            every run, whatever the physical arrival interleaving was.
-            ``None`` applies everything (drain end: no reads remain).
-            """
-            pend = port.pending_wlogs
-            if not pend:
-                return
-            if limit is None:
-                ready, keep = pend, []
-            else:
-                ready = [w for w in pend if w[1] <= limit]
-                if not ready:
-                    return
-                keep = [w for w in pend if w[1] > limit]
-            ready.sort(key=lambda w: (w[1], w[0]))
-            for _producer, _step, va, values in ready:
-                orig_write(va, values)
-            port.pending_wlogs = keep
-
-        def flush_substep(final: bool):
-            """Encode and ship this sub-step's boundary output.
-
-            Returns ``(emitted_entries, spill)`` where ``spill`` is
-            ``None`` or ``{target: [frame payloads]}``.  Once any frame
-            to a target spills, every later frame to that target this
-            flush spills too — label-interning announcements and wlog
-            ordering both require the per-stream frame order to survive
-            the ring/Pipe split (the consumer decodes ring frames first,
-            then the relayed spill).
-            """
-            spill: Optional[Dict[int, list]] = None
-            spilled = [False] * shards
-            emitted = 0
-            for target in range(shards):
-                batch = outbox[target]
-                if not batch:
-                    continue
-                emitted += len(batch)
-                encode = port.enc[target].encode_entry
-                for entry in batch:
-                    payload = bytearray()
-                    encode(payload, entry)
-                    payload = bytes(payload)
-                    if spilled[target] or not port.try_write(
-                        target, payload, drain_rings, final
-                    ):
-                        spilled[target] = True
-                        if spill is None:
-                            spill = {}
-                        spill.setdefault(target, []).append(payload)
-                batch.clear()
-            if substep_wlog:
-                step_tag = port.step
-                for target in range(shards):
-                    if target == shard:
-                        continue
-                    encode = port.enc[target].encode_wlog
-                    for va, vals in substep_wlog:
-                        payload = bytearray()
-                        encode(payload, va, vals, step_tag)
-                        payload = bytes(payload)
-                        if spilled[target] or not port.try_write(
-                            target, payload, drain_rings, final
-                        ):
-                            spilled[target] = True
-                            if spill is None:
-                                spill = {}
-                            spill.setdefault(target, []).append(payload)
-                substep_wlog.clear()
-            return emitted, spill
-
-        # fresh per-worker recorder: workers ship per-drain deltas and
-        # hand off to a fresh sibling after each drain, so they must not
-        # re-report telemetry they inherited at fork time
-        had_recorder = sim.recorder is not None
-        if had_recorder:
-            _rebind_recorder(sim, sim.recorder.sibling())
-        hostlog = sim.hostlog
-        stats = sim.stats
-        stats_base = stats.scalar_snapshot()
-        labels_base = dict(stats.events_by_label)
-        udlog_base = len(hostlog.entries) if hostlog is not None else 0
-        trace_base = len(sim.trace)
-        my_nodes = self.shard_nodes[shard]
-        while True:
-            msg = conn.recv()
-            op = msg[0]
-            if op == "run":
-                _op, t0, nsteps, budget = msg
-                before = stats.events_executed
-                base = port.step
-                try:
-                    emitted_win = 0
-                    bytes_before = port.bytes_out
-                    spill_all: Optional[Dict[int, list]] = None
-                    for g in range(nsteps):
-                        if g:
-                            port.wait_for(base + g, drain_rings)
-                        drain_rings()
-                        apply_wlogs(base + g - 1)
-                        rb = budget
-                        if rb is not None:
-                            rb -= stats.events_executed - before
-                        sim._drain(rb, t0 + (g + 1) * lookahead)
-                        emitted, spill = flush_substep(
-                            final=(g == nsteps - 1)
-                        )
-                        emitted_win += emitted
-                        if spill:
-                            if spill_all is None:
-                                spill_all = spill
-                            else:
-                                for target, payloads in spill.items():
-                                    spill_all.setdefault(
-                                        target, []
-                                    ).extend(payloads)
-                        port.publish(base + g + 1)
-                    # window-end barrier: wait for every peer's final
-                    # sub-step and drain, so the reported next event
-                    # time accounts for everything in flight
-                    port.wait_for(base + nsteps, drain_rings)
-                    drain_rings()
-                except Exception:
-                    conn.send(("error", traceback.format_exc()))
-                    continue
-                conn.send((
-                    "out",
-                    stats.events_executed - before,
-                    sim._wd_last_progress,
-                    heap[0][0] if heap else None,
-                    emitted_win,
-                    port.bytes_out - bytes_before,
-                    sorted(spill_all.items()) if spill_all else None,
-                ))
-            elif op == "spill":
-                # ring-overflow records relayed by the parent: entries
-                # join the heap, wlogs join the same deferred queue the
-                # ring frames use (the step tag keeps producer order)
-                _op, groups = msg
-                pending = port.pending_wlogs
-                for producer, payloads in groups:
-                    decode = port.dec[producer].decode_frame
-                    for payload in payloads:
-                        frame = decode(payload)
-                        if frame[0] == "entry":
-                            heappush(heap, frame[1])
-                        else:
-                            pending.append(
-                                (producer, frame[3], frame[1], frame[2])
-                            )
-                conn.send(("next", heap[0][0] if heap else None))
-            elif op == "seed":
-                blob = msg[1]
-                if blob is not None:
-                    for entry in pickle.loads(blob):
-                        heappush(heap, entry)
-                conn.send(("next", heap[0][0] if heap else None))
-            elif op == "drain_end":
-                apply_wlogs(None)
-                payload = {
-                    "stats": stats.delta_since(stats_base),
-                    "busy": {
-                        nwid: lane.busy_cycles
-                        for nwid, lane in sim._lanes.items()
-                        if lane.busy_cycles
-                    },
-                    "labels": (
-                        {
-                            label: count - labels_base.get(label, 0)
-                            for label, count in stats.events_by_label.items()
-                            if count != labels_base.get(label, 0)
-                        }
-                        if sim.detailed_stats
-                        else None
-                    ),
-                    "channels": sim.network.export_channels(my_nodes),
-                    "mem": sim.memory.export_channels(my_nodes),
-                    "udlog": (
-                        hostlog.entries[udlog_base:]
-                        if hostlog is not None
-                        else []
-                    ),
-                    "trace": (
-                        sim.trace[trace_base:] if sim.trace_enabled else []
-                    ),
-                    "recorder": sim.recorder if had_recorder else None,
-                    "pending": sim._live_threads(),
-                    "host": host_out,
-                    "wlog": parent_wlog,
-                    "hub": {"barrier_wait_s": port.barrier_wait_s},
-                }
-                conn.send(("final", payload))
-                host_out = []
-                parent_wlog.clear()
-                port.barrier_wait_s = 0.0
-                stats_base = stats.scalar_snapshot()
-                labels_base = dict(stats.events_by_label)
-                udlog_base = (
-                    len(hostlog.entries) if hostlog is not None else 0
-                )
-                trace_base = len(sim.trace)
-                if had_recorder:
-                    _rebind_recorder(sim, sim.recorder.drain_handoff())
-            elif op == "diag":
-                conn.send(("diag", sim.stall_dump()))
-            elif op == "exit":
-                return
-            else:
-                raise SimulationError(f"unknown coordinator op {op!r}")
-
-
-def _rebind_recorder(sim, fresh) -> None:
-    """Swap a simulator's recorder hooks to ``fresh`` (same tier)."""
-    old = sim.recorder
-    sim.recorder = fresh
-    if old.record_messages:
-        sim._rec_msg = fresh.message
-    if old.record_faults:
-        sim._rec_fault = fresh.fault
-    if old.record_channels:
-        sim.network.recorder = fresh
-        sim.memory.recorder = fresh
-    for rebind in sim._recorder_rebinders:
-        rebind(fresh)
+        final_tick = stats.final_tick
+        for entry in entries:
+            t = entry[0]
+            inbox.append((t, entry[3]))
+            if t > final_tick:
+                final_tick = t
+        stats.final_tick = final_tick
+        entries.clear()

@@ -13,7 +13,7 @@ private event count — and all latency jitter (used only by
 failure-injection tests) is seeded, so every simulation run is exactly
 reproducible.  Because the key never depends on *global* issue order, the
 event order is also independent of how the machine is partitioned into
-shards: a conservative parallel run (``shards=N``, see
+shards: a conservative sharded run (``shards=N``, see
 ``repro.machine.parallel``) produces bit-identical results to the
 sequential drain.
 
@@ -104,9 +104,8 @@ class Simulator:
 
     ``shards`` > 1 partitions the machine's nodes into that many shards
     and drains them through conservative epoch windows (see
-    ``repro.machine.parallel``); ``parallel=True`` additionally runs each
-    shard in its own forked worker process.  Results are bit-identical to
-    the sequential (``shards=1``) drain.
+    ``repro.machine.parallel``).  Results are bit-identical to the
+    sequential (``shards=1``) drain.
     """
 
     def __init__(
@@ -120,7 +119,6 @@ class Simulator:
         detailed_stats: bool = False,
         recorder=None,
         shards: int = 1,
-        parallel: bool = False,
         faults=None,
         watchdog_cycles: Optional[float] = None,
     ) -> None:
@@ -170,15 +168,8 @@ class Simulator:
         self.host_inbox: List[Tuple[float, MessageRecord]] = []
         # --- shard configuration -------------------------------------
         self.shards = shards
-        self.parallel = parallel
         self._scheduler = None
         self._shard_of_node: Optional[List[int]] = None
-        #: shared runtime state the parallel executor must replicate
-        #: across worker processes; set via :meth:`bind_shared`.
-        self.funcmem = None
-        self.hostlog = None
-        self._recorder_rebinders: List[Callable] = []
-        self._setup_token: Optional[Callable] = None
         if shards < 1:
             raise SimulationError("shards must be at least 1")
         if shards > 1:
@@ -287,9 +278,6 @@ class Simulator:
         #: polls, retransmit timers); populated via :meth:`mark_idle_labels`.
         self._wd_idle_labels: set = set()
         self._wd_last_progress: float = 0.0
-        #: forked shard workers observe only their own shard's events, so
-        #: they report progress to the coordinator instead of raising.
-        self._wd_report_only: bool = False
         #: (name, fn(sim) -> data) providers consulted by :meth:`stall_dump`.
         self._diag_providers: List[tuple] = []
 
@@ -314,35 +302,6 @@ class Simulator:
     @property
     def instantiated_lanes(self) -> int:
         return len(self._lanes)
-
-    def bind_shared(
-        self,
-        funcmem=None,
-        hostlog=None,
-        recorder_rebind=None,
-        setup_token=None,
-    ):
-        """Register runtime-owned shared state for parallel execution.
-
-        ``funcmem`` (a ``GlobalMemory``) has its writes logged and
-        replicated across shard processes; ``hostlog`` (a ``UDLog``) is
-        merged back to the parent; ``recorder_rebind`` is called with the
-        fresh per-worker recorder so objects outside the simulator (the
-        UDWeave runtime, whose KVMSR hooks read ``runtime.recorder``)
-        observe the swap.  ``setup_token`` is a zero-argument callable
-        fingerprinting host-side program setup (registered thread
-        classes, jobs, host labels); the parallel executor snapshots it
-        at fork time and rejects later drains if it changed — forked
-        workers cannot observe registrations made in the host process.
-        """
-        if funcmem is not None:
-            self.funcmem = funcmem
-        if hostlog is not None:
-            self.hostlog = hostlog
-        if recorder_rebind is not None:
-            self._recorder_rebinders.append(recorder_rebind)
-        if setup_token is not None:
-            self._setup_token = setup_token
 
     # ------------------------------------------------------------------
     # Liveness watchdog & diagnostics
@@ -437,9 +396,9 @@ class Simulator:
         Every scheduled delivery — sends, host injections, DRAM arrivals
         and responses — funnels through here, so the shard scheduler has
         one place to hook (``self._route``) when events must land in a
-        per-shard heap or a cross-shard boundary batch instead of the
-        global heap.  ``actor`` identifies the issuing execution context;
-        its private counter makes the key unique and shard-independent.
+        per-shard heap instead of the global heap.  ``actor`` identifies
+        the issuing execution context; its private counter makes the key
+        unique and shard-independent.
         """
         aseq = self._actor_seq
         count = aseq.get(actor, 0)
@@ -961,25 +920,16 @@ class Simulator:
         execute, and the heap (with everything at or after ``until``)
         stays intact, so the caller can re-enter — the bounded stepping
         the conservative epoch driver (and the service harness's
-        interleaved open-loop stepping) is built on.  With in-process
-        shards the bound is forwarded to the shard scheduler, which
-        clamps its epoch windows to it; forked workers (``parallel=True``)
-        keep simulation state out of the host process between drains, so
-        bounded stepping is rejected there.
+        interleaved open-loop stepping) is built on.  With shards the
+        bound is forwarded to the shard scheduler, which clamps its epoch
+        windows to it.
         """
         if self.shards > 1:
-            if until is not None and self.parallel:
-                raise SimulationError(
-                    "bounded stepping (until=) is not supported with "
-                    "parallel=True forked workers (simulation state lives "
-                    "in the children between drains); use in-process "
-                    "shards (parallel=False) for interleaved stepping"
-                )
             sched = self._scheduler
             if sched is None:
-                from .parallel import make_scheduler
+                from .parallel import ShardScheduler
 
-                sched = self._scheduler = make_scheduler(self)
+                sched = self._scheduler = ShardScheduler(self)
             return sched.drain(max_events, until)
         # Arm record parking only for the drain shape whose observation
         # points the flush hooks fully cover: plain sequential, healthy
@@ -1045,7 +995,6 @@ class Simulator:
         rec_fault = self._rec_fault
         wd = self._watchdog_cycles
         wd_idle = self._wd_idle_labels
-        wd_report = self._wd_report_only
         wd_last = self._wd_last_progress
         # Batched dispatch: when parking is armed (or leftovers exist
         # from a bounded drain), every delivery to a lane first flushes
@@ -1128,10 +1077,8 @@ class Simulator:
                             if rec.label in wd_idle:
                                 # Only idle/control traffic (poll loops,
                                 # retry timers, acks) — no application
-                                # progress.  In report-only mode (forked
-                                # shard workers) the parent aggregates
-                                # and raises instead.
-                                if not wd_report and ev_time - wd_last > wd:
+                                # progress.
+                                if ev_time - wd_last > wd:
                                     raise QuiescenceStall(
                                         f"no application progress for "
                                         f"{ev_time - wd_last:.0f} cycles "
@@ -1228,32 +1175,6 @@ class Simulator:
         for nwid, ln in self._lanes.items():
             if ln.busy_cycles:
                 by_lane[nwid] = ln.busy_cycles
-
-    def shutdown(self) -> None:
-        """Release parallel-execution resources (worker processes).
-
-        A no-op for sequential and in-process sharded simulators; safe to
-        call more than once.  Forked workers are daemonic, so skipping
-        this leaks nothing past interpreter exit — but long-lived hosts
-        (sweeps, test suites) should call it between machines.
-        """
-        sched = self._scheduler
-        if sched is not None:
-            sched.close()
-
-    def parallel_metrics(self) -> Optional[dict]:
-        """Hub metrics of the forked-worker transport, or ``None``.
-
-        Populated only for ``parallel=True`` runs: boundary bytes/records
-        shipped through the shared-memory rings, ring overflow (spill)
-        counts, barrier-wait seconds, and the adaptive-window histogram.
-        Kept out of :class:`SimStats` deliberately — these describe the
-        *host-side transport*, not the simulated machine, and must not
-        perturb fingerprint comparisons against sequential runs.
-        """
-        sched = self._scheduler
-        metrics = getattr(sched, "hub_metrics", None)
-        return dict(metrics) if metrics is not None else None
 
     # ------------------------------------------------------------------
     # Results

@@ -97,7 +97,7 @@ class SimStats:
     #: no live threads left waiting for events.  ``False`` distinguishes
     #: the silent-hang shape (empty heap, threads still pending: a lost
     #: message or credit) and bounded ``run(until=)`` stops.  Set by the
-    #: drain drivers, not merged from shard deltas.
+    #: drain drivers at the end of every drain.
     quiesced: bool = False
     #: live threads remaining after the last drain (0 when quiesced).
     pending_threads: int = 0
@@ -161,39 +161,6 @@ class SimStats:
             "transport_give_ups": self.transport_give_ups,
             "final_tick": self.final_tick,
         }
-
-    # ------------------------------------------------------------------
-    # Shard merging (repro.machine.parallel)
-    # ------------------------------------------------------------------
-
-    def delta_since(self, base: Dict[str, float]) -> Dict[str, float]:
-        """Scalar counters accumulated since ``base`` (a prior snapshot).
-
-        ``final_tick`` stays absolute — it is a maximum, not a sum, so a
-        delta is meaningless for it; :meth:`absorb_delta` max-merges it.
-        Shard workers report one of these per drain so the coordinator
-        can add worker contributions without double counting state the
-        workers inherited at fork time.
-        """
-        snap = self.scalar_snapshot()
-        delta = {k: v - base.get(k, 0) for k, v in snap.items()}
-        delta["final_tick"] = snap["final_tick"]
-        return delta
-
-    def absorb_delta(self, delta: Dict[str, float]) -> None:
-        """Fold one shard's :meth:`delta_since` into this object.
-
-        Additive counters sum (so the PR 2 invariant ``sent == local +
-        remote + host_injected + host_bound`` survives: each shard's
-        delta satisfies it, and sums of partitions partition the sum);
-        ``final_tick`` is the max over shards.
-        """
-        for key, value in delta.items():
-            if key == "final_tick":
-                if value > self.final_tick:
-                    self.final_tick = value
-            else:
-                setattr(self, key, getattr(self, key) + value)
 
     def summary(self) -> str:
         return (

@@ -52,7 +52,6 @@ class UpDownRuntime:
         detailed_stats: bool = False,
         recorder=None,
         shards: int = 1,
-        parallel: bool = False,
         faults=None,
         reliable=False,
         watchdog_cycles: Optional[float] = None,
@@ -71,22 +70,12 @@ class UpDownRuntime:
             detailed_stats=detailed_stats,
             recorder=recorder,
             shards=shards,
-            parallel=parallel,
             faults=faults,
             watchdog_cycles=watchdog_cycles,
         )
         self.gmem = GlobalMemory(config)
         self.spalloc = SpAllocator(sp_capacity_words)
         self.udlog = UDLog()
-        # Hand the simulator the process-shared pieces the parallel
-        # executor must replicate/merge across shard workers, plus a hook
-        # to swap the recorder KVMSR's phase instrumentation reads.
-        self.sim.bind_shared(
-            funcmem=self.gmem,
-            hostlog=self.udlog,
-            recorder_rebind=self._rebind_recorder,
-            setup_token=self._host_setup_token,
-        )
         #: host mailbox labels live in their own namespace (they are not
         #: program events; they terminate at the simulation host).
         self._host_labels: Dict[str, int] = {}
@@ -276,25 +265,9 @@ class UpDownRuntime:
         return self.sim.run(max_events=max_events)
 
     def shutdown(self) -> None:
-        """Release simulator resources (parallel worker pool, if any)."""
-        self.sim.shutdown()
-
-    def _rebind_recorder(self, recorder) -> None:
-        self.recorder = recorder
-
-    def _host_setup_token(self) -> tuple:
-        """Fingerprint of host-side program setup.
-
-        Forked shard workers inherit registrations by copy-on-write at
-        fork time only; the parallel executor compares this token across
-        drains to reject setup performed after the fork (which the
-        workers could never observe).
-        """
-        return (
-            len(self._handler_table),
-            len(self._host_label_names),
-            len(getattr(self, "_kvmsr_jobs", ())),
-        )
+        """No-op: the runtime holds no resources to release.
+        ``perfbench/run.py`` still calls it and is its only caller; the
+        next benchmark change removes it."""
 
     def host_messages(self, tag: Optional[str] = None) -> List[MessageRecord]:
         return self.sim.host_messages(tag)

@@ -1,11 +1,10 @@
-"""Bit-identical parity of conservative parallel runs vs sequential.
+"""Bit-identical parity of conservative sharded runs vs sequential.
 
-The hard guarantee of ``repro.machine.parallel``: a sharded run — whether
-in-process (``shards=N``) or across forked workers (``parallel=True``) —
-produces *exactly* the sequential results: the same scalar fingerprint
-(all 14 always-on counters including ``final_tick``), the same host
-mailbox in the same order, the same functional outputs, and (when
-recording) one merged flight recorder whose Chrome trace export works.
+The hard guarantee of ``repro.machine.parallel``: a sharded run
+(``shards=N``) produces *exactly* the sequential results: the same scalar
+fingerprint (all always-on counters including ``final_tick``), the same
+host mailbox in the same order, the same functional outputs, and (when
+recording) the same flight-recorder telemetry and Chrome trace.
 
 Sits alongside ``test_determinism_parity.py``: that file pins run-to-run
 and observation-tier determinism; this one pins shard-count independence.
@@ -30,26 +29,21 @@ def _mailbox(rt):
     return [(t, rec.label, rec.operands) for t, rec in rt.sim.host_inbox]
 
 
-def _run_pr(shards=1, parallel=False, record=None):
+def _run_pr(shards=1, record=None):
     from repro.observe import make_recorder
 
     rt = UpDownRuntime(
-        bench_config(NODES),
-        shards=shards,
-        parallel=parallel,
-        recorder=make_recorder(record),
+        bench_config(NODES), shards=shards, recorder=make_recorder(record)
     )
     app = PageRankApp(rt, GRAPH, max_degree=16, block_size=BLOCK)
     res = app.run(iterations=2, max_events=10_000_000)
-    rt.shutdown()
     return rt, res
 
 
-def _run_bfs(shards=1, parallel=False):
-    rt = UpDownRuntime(bench_config(NODES), shards=shards, parallel=parallel)
+def _run_bfs(shards=1):
+    rt = UpDownRuntime(bench_config(NODES), shards=shards)
     app = BFSApp(rt, GRAPH, max_degree=16, block_size=BLOCK)
     res = app.run(root=0, max_events=10_000_000)
-    rt.shutdown()
     return rt, res
 
 
@@ -76,53 +70,23 @@ class TestInProcessShards:
         assert list(shd_res.parents) == list(seq_res.parents)
 
 
-class TestForkedWorkers:
-    """The multiprocessing mode must match sequential bit-for-bit too."""
+class TestShardedFeatureMatrix:
+    """Sharded parity across the machine-model feature matrix: batched
+    dispatch and injected faults with reliable delivery (fault-delayed
+    ``rdt`` records crossing shards) must each stay bit-exact."""
 
-    def test_pagerank_fingerprint_identical(self):
-        seq, seq_res = _run_pr()
-        par, par_res = _run_pr(shards=2, parallel=True)
-        assert (
-            par.sim.stats.scalar_snapshot() == seq.sim.stats.scalar_snapshot()
-        )
-        assert _mailbox(par) == _mailbox(seq)
-        # write-log replication kept the parent's functional memory
-        # current — results are read host-side after the run
-        assert list(par_res.ranks) == list(seq_res.ranks)
-
-    def test_bfs_fingerprint_identical(self):
-        seq, seq_res = _run_bfs()
-        par, par_res = _run_bfs(shards=4, parallel=True)
-        assert (
-            par.sim.stats.scalar_snapshot() == seq.sim.stats.scalar_snapshot()
-        )
-        assert _mailbox(par) == _mailbox(seq)
-        assert list(par_res.parents) == list(seq_res.parents)
-
-
-class TestForkedWorkerMatrix:
-    """Forked-worker parity across the machine-model feature matrix:
-    batched dispatch and injected faults with reliable delivery
-    (fault-delayed ``rdt`` records crossing shards) must each stay
-    bit-exact — and the healthy path must never touch the ring-overflow
-    spill channel."""
-
-    def _run(self, parallel, batch_dispatch=False, faulty=False):
+    def _run(self, shards, batch_dispatch=False, faulty=False):
         from repro.faults import FaultPlan
 
         rt = UpDownRuntime(
             bench_config(NODES, batch_dispatch=batch_dispatch),
             faults=FaultPlan(seed=11, drop_rate=0.01) if faulty else None,
             reliable=faulty,
-            shards=2 if parallel else 1,
-            parallel=parallel,
+            shards=shards,
         )
         app = PageRankApp(rt, GRAPH, max_degree=16, block_size=BLOCK)
         res = app.run(iterations=2, max_events=10_000_000)
-        fp = rt.sim.stats.scalar_snapshot()
-        metrics = rt.sim.parallel_metrics()
-        rt.shutdown()
-        return fp, list(res.ranks), metrics
+        return rt.sim.stats.scalar_snapshot(), list(res.ranks)
 
     @pytest.mark.parametrize(
         "knobs",
@@ -134,63 +98,58 @@ class TestForkedWorkerMatrix:
         ids=["batch_dispatch", "faulted", "all_on"],
     )
     def test_feature_matrix_fingerprint_identical(self, knobs):
-        seq_fp, seq_ranks, _ = self._run(parallel=False, **knobs)
-        par_fp, par_ranks, metrics = self._run(parallel=True, **knobs)
-        assert par_fp == seq_fp
-        assert par_ranks == seq_ranks
-        # acceptance bar: default ring capacity absorbs the whole
-        # boundary stream — the spill path is for pathology only
-        assert metrics["ring_overflows"] == 0
+        seq_fp, seq_ranks = self._run(shards=1, **knobs)
+        shd_fp, shd_ranks = self._run(shards=2, **knobs)
+        assert shd_fp == seq_fp
+        assert shd_ranks == seq_ranks
 
 
-class TestRecordedParallelRun:
-    """``record=`` under parallel mode: per-shard recorders are stitched
-    into the one recorder the caller holds, and the merged telemetry
-    exports as a single Chrome trace."""
+class TestRecordedShardedRun:
+    """``record=`` under sharding: the one recorder the caller holds sees
+    exactly the sequential telemetry, and it exports as one Chrome
+    trace."""
 
-    def test_merged_recorder_exports_one_trace(self, tmp_path):
+    def test_recorder_exports_the_sequential_trace(self, tmp_path):
         from repro.observe.trace import chrome_trace
 
         seq, _ = _run_pr(record="full")
-        par, _ = _run_pr(shards=2, parallel=True, record="full")
-        # recorder identity is stable: the object handed in at build
-        # time is the one holding the merged telemetry after the run
-        assert par.recorder is par.sim.recorder
+        shd, _ = _run_pr(shards=2, record="full")
+        assert shd.recorder is shd.sim.recorder
         seq_trace = chrome_trace(seq.recorder, seq.config.clock_hz, {})
-        par_trace = chrome_trace(par.recorder, par.config.clock_hz, {})
-        out = tmp_path / "parallel.trace.json"
-        out.write_text(json.dumps(par_trace))
+        shd_trace = chrome_trace(shd.recorder, shd.config.clock_hz, {})
+        out = tmp_path / "sharded.trace.json"
+        out.write_text(json.dumps(shd_trace))
         assert json.loads(out.read_text())["traceEvents"]
         # channel telemetry is deterministic (samples are taken at
-        # channel-admission points, which parity fixes), so the merged
+        # channel-admission points, which parity fixes), so the sharded
         # trace holds exactly the sequential events — order-insensitive,
-        # because sequential emission order is pop order while the merge
-        # sorts by span start (Chrome's JSON is order-independent)
+        # because shards emit window by window while the sequential run
+        # emits in global pop order (Chrome's JSON is order-independent)
         def canon(trace):
             return sorted(
                 json.dumps(e, sort_keys=True) for e in trace["traceEvents"]
             )
 
-        assert canon(par_trace) == canon(seq_trace)
+        assert canon(shd_trace) == canon(seq_trace)
 
-    def test_histogram_tier_merges(self):
+    def test_histogram_tier_matches_sequential(self):
         seq, _ = _run_pr(record="histograms")
-        par, _ = _run_pr(shards=2, parallel=True, record="histograms")
+        shd, _ = _run_pr(shards=2, record="histograms")
         for node, stats in seq.recorder.inj_by_node.items():
-            merged = par.recorder.inj_by_node[node]
-            assert merged.admits == stats.admits
-            assert merged.bytes == stats.bytes
-            assert merged.wait_sum == stats.wait_sum
+            sharded = shd.recorder.inj_by_node[node]
+            assert sharded.admits == stats.admits
+            assert sharded.bytes == stats.bytes
+            assert sharded.wait_sum == stats.wait_sum
         for kind, hist in seq.recorder.msg_latency.items():
-            assert par.recorder.msg_latency[kind].count == hist.count
-        assert par.recorder.inj_wait.count == seq.recorder.inj_wait.count
+            assert shd.recorder.msg_latency[kind].count == hist.count
+        assert shd.recorder.inj_wait.count == seq.recorder.inj_wait.count
 
 
 class TestMultiDrainSharded:
     """Apps that call run() more than once, set up device state between
     phases, and read results through shared payload objects — the full
-    AGILE workflow.  In-process sharding shares the host's Python heap,
-    so every phase-boundary idiom works and parity must hold end to end.
+    AGILE workflow.  Shards share the host's Python heap, so every
+    phase-boundary idiom works and parity must hold end to end.
     """
 
     def test_workflow_parity_across_phases(self):
@@ -216,34 +175,3 @@ class TestMultiDrainSharded:
         assert shd.reached == seq.reached
         assert shd.phase_seconds == seq.phase_seconds
 
-
-class TestForkedSetupGuard:
-    """Forked workers inherit host registrations by copy-on-write at
-    fork time only; setup performed between drains would silently
-    diverge, so the executor must detect and reject it."""
-
-    def test_post_fork_registration_rejected(self):
-        from repro.machine import SimulationError
-        from repro.udweave import UDThread, event
-
-        rt = UpDownRuntime(bench_config(2), shards=2, parallel=True)
-
-        @rt.register
-        class Ping(UDThread):
-            @event
-            def go(self, ctx):
-                ctx.yield_terminate()
-
-        rt.start(0, "Ping::go")
-        rt.run()
-
-        @rt.register
-        class Pong(UDThread):
-            @event
-            def go(self, ctx):
-                ctx.yield_terminate()
-
-        rt.start(0, "Pong::go")
-        with pytest.raises(SimulationError, match="setup"):
-            rt.run()
-        rt.shutdown()

@@ -3,8 +3,8 @@
 The contract (DESIGN.md "Event IR & batched dispatch"): flipping
 ``MachineConfig(batch_dispatch=True)`` may never change the simulation —
 only how fast the host reaches it.  These tests pin that across every
-drain the simulator offers (sequential, in-process shards, forked
-workers, faulted transport) and assert the record-conservation invariant
+drain the simulator offers (sequential, shards, faulted transport) and
+assert the record-conservation invariant
 ``records_batched + events_interpreted == events_executed``.
 """
 
@@ -22,7 +22,7 @@ NODES = 4
 BATCH_KEYS = ("batches_executed", "records_batched", "events_interpreted")
 
 
-def _run_pr(batch, shards=1, parallel=False, faults=False):
+def _run_pr(batch, shards=1, faults=False):
     fault_kw = {}
     if faults:
         from repro.faults import FaultPlan
@@ -33,7 +33,6 @@ def _run_pr(batch, shards=1, parallel=False, faults=False):
     rt = UpDownRuntime(
         bench_config(NODES, batch_dispatch=batch),
         shards=shards,
-        parallel=parallel,
         **fault_kw,
     )
     from repro.apps import PageRankApp
@@ -47,7 +46,6 @@ def _run_pr(batch, shards=1, parallel=False, faults=False):
         "ranks": list(res.ranks),
         "stats": rt.sim.stats,
     }
-    rt.shutdown()
     return out
 
 
@@ -119,14 +117,6 @@ class TestShardedParity:
         )
         assert shd_on["mailbox"] == seq_on["mailbox"]
         assert shd_on["ranks"] == seq_on["ranks"]
-
-    def test_forked_workers(self):
-        off = _run_pr(batch=False, shards=2, parallel=True)
-        on = _run_pr(batch=True, shards=2, parallel=True)
-        assert on["snapshot"] == off["snapshot"]
-        assert on["mailbox"] == off["mailbox"]
-        assert on["ranks"] == off["ranks"]
-        assert on["stats"].records_batched == 0
 
 
 class TestFaultedParity:

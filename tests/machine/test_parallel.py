@@ -1,9 +1,9 @@
 """Conservative sharded execution: lookahead, partitioning, windowed runs.
 
-The parity of full application runs (sequential vs in-process shards vs
-forked workers) lives in ``tests/integration/test_parallel_parity.py``;
-this module covers the machine-layer mechanics — the lookahead knob,
-shard validation, bounded stepping, and the in-process shard scheduler.
+The parity of full application runs (sequential vs shards) lives in
+``tests/integration/test_parallel_parity.py``; this module covers the
+machine-layer mechanics — the lookahead knob, shard validation, bounded
+stepping, and the shard scheduler.
 """
 
 import pytest
@@ -98,19 +98,6 @@ class TestShardValidation:
                 dispatcher=null_dispatcher(),
                 shards=2,
             )
-
-    def test_until_rejected_for_forked_workers(self):
-        # in-process shards clamp their epoch windows to the bound; forked
-        # workers keep simulation state in the children between drains, so
-        # bounded stepping is rejected there (before any fork happens)
-        sim = Simulator(
-            bench_machine(nodes=2),
-            dispatcher=null_dispatcher(),
-            shards=2,
-            parallel=True,
-        )
-        with pytest.raises(SimulationError, match="until"):
-            sim.run(until=100.0)
 
     def test_in_process_shards_honor_until(self):
         disp = null_dispatcher(cycles=1.0)
@@ -250,7 +237,6 @@ class TestShardScheduler:
         for i in range(sim.config.total_lanes):
             sim.inject(MessageRecord(i, NEW_THREAD, f"chain{i}", (40,)), t=0.0)
         stats = sim.run()
-        sim.shutdown()
         return stats.scalar_snapshot(), disp.executed
 
     def test_sharded_run_is_bit_identical(self):
@@ -298,214 +284,3 @@ class TestShardScheduler:
             return [(t, r.label) for t, r in sim.host_inbox]
 
         assert both(shards=2) == both(shards=1)
-
-    def test_forked_multi_drain_parity(self):
-        """Workers persist across drains: injections between run() calls
-        are forwarded and the cumulative fingerprint stays sequential."""
-
-        def run(parallel):
-            disp = self._chain_dispatcher(hops=10)
-            sim = Simulator(
-                bench_machine(nodes=2),
-                dispatcher=disp,
-                shards=2 if parallel else 1,
-                parallel=parallel,
-            )
-            sim.inject(MessageRecord(0, NEW_THREAD, "a", (10,)), t=0.0)
-            sim.run()
-            sim.inject(MessageRecord(1, NEW_THREAD, "b", (10,)), t=0.0)
-            sim.run()
-            fp = sim.stats.scalar_snapshot()
-            sim.shutdown()
-            return fp
-
-        assert run(parallel=True) == run(parallel=False)
-
-    def test_shutdown_is_idempotent(self):
-        sim = Simulator(
-            bench_machine(nodes=2), dispatcher=null_dispatcher(), shards=2
-        )
-        sim.run()
-        sim.shutdown()
-        sim.shutdown()
-
-
-class TestWorkerFailure:
-    """A dead shard worker becomes a clear ShardWorkerFailed, never a
-    hung pipe read, and never an orphaned daemon process."""
-
-    def _suicidal_dispatcher(self):
-        """Executes normally except for the label ``die``, which kills
-        the worker process hosting it (simulating an OOM kill / crash in
-        an extension) — the parent only ever sees the closed pipe."""
-        import os
-
-        def dispatch(sim, lane, record, start):
-            if record.label == "die":
-                os._exit(13)
-            return 2.0
-
-        return dispatch
-
-    def test_worker_death_mid_drain_raises_shard_worker_failed(self):
-        from repro.machine.parallel import ShardWorkerFailed
-
-        sim = Simulator(
-            bench_machine(nodes=2),
-            dispatcher=self._suicidal_dispatcher(),
-            shards=2,
-            parallel=True,
-        )
-        lanes_per_node = sim.config.lanes_per_node
-        sim.inject(MessageRecord(0, NEW_THREAD, "ok"), t=0.0)
-        # the fatal event lands on shard 1 (node 1's first lane)
-        sim.inject(MessageRecord(lanes_per_node, NEW_THREAD, "die"), t=10.0)
-        with pytest.raises(ShardWorkerFailed, match="worker died") as info:
-            sim.run()
-        assert info.value.shard == 1
-        assert info.value.exitcode == 13
-        sim.shutdown()
-
-    def test_worker_killed_between_drains_detected_proactively(self):
-        import os
-        import signal
-
-        from repro.machine.parallel import ShardWorkerFailed
-
-        disp = null_dispatcher()
-        sim = Simulator(
-            bench_machine(nodes=2), dispatcher=disp, shards=2, parallel=True
-        )
-        sim.inject(MessageRecord(0, NEW_THREAD, "a"), t=0.0)
-        sim.run()
-        sched = sim._scheduler
-        procs = list(sched._procs)
-        os.kill(procs[0].pid, signal.SIGKILL)
-        procs[0].join(timeout=5)
-        sim.inject(MessageRecord(0, NEW_THREAD, "b"), t=0.0)
-        # detected before any pipe traffic, naming shard and last window
-        with pytest.raises(ShardWorkerFailed, match="shard 0") as info:
-            sim.run()
-        assert info.value.shard == 0
-        assert info.value.window is not None  # a window did complete
-        # the whole pool was torn down: no orphaned daemons
-        for proc in procs:
-            assert not proc.is_alive()
-        sim.shutdown()
-
-    def test_failed_pool_refuses_reuse(self):
-        from repro.machine.parallel import ShardWorkerFailed
-
-        sim = Simulator(
-            bench_machine(nodes=2),
-            dispatcher=self._suicidal_dispatcher(),
-            shards=2,
-            parallel=True,
-        )
-        sim.inject(
-            MessageRecord(sim.config.lanes_per_node, NEW_THREAD, "die"), t=0.0
-        )
-        with pytest.raises(ShardWorkerFailed):
-            sim.run()
-        # lane/thread state died with the workers; a retry would silently
-        # diverge, so the executor bricks itself instead
-        sim.inject(MessageRecord(0, NEW_THREAD, "c"), t=0.0)
-        with pytest.raises(SimulationError, match="no longer usable"):
-            sim.run()
-        sim.shutdown()
-
-    def test_shard_worker_failed_is_exported(self):
-        from repro.machine import ShardWorkerFailed as exported
-        from repro.machine.parallel import ShardWorkerFailed
-
-        assert exported is ShardWorkerFailed
-
-    def test_dead_worker_stderr_tail_reaches_the_exception(self):
-        from repro.machine.parallel import ShardWorkerFailed
-
-        def dispatch(sim, lane, record, start):
-            if record.label == "die":
-                import os
-                import sys
-
-                sys.stderr.write("scratchpad checksum mismatch @ lane 2\n")
-                sys.stderr.flush()
-                os._exit(13)
-            return 2.0
-
-        sim = Simulator(
-            bench_machine(nodes=2),
-            dispatcher=dispatch,
-            shards=2,
-            parallel=True,
-        )
-        sim.inject(
-            MessageRecord(sim.config.lanes_per_node, NEW_THREAD, "die"), t=0.0
-        )
-        with pytest.raises(ShardWorkerFailed) as info:
-            sim.run()
-        # the worker's dying words (captured stderr tail) are in both the
-        # structured attribute and the rendered message
-        assert "scratchpad checksum mismatch" in info.value.stderr_tail
-        assert "scratchpad checksum mismatch" in str(info.value)
-        sim.shutdown()
-
-
-class TestShutdownIdempotence:
-    """Teardown must be safe to repeat — ``shutdown()`` after a worker
-    failure, a second ``shutdown()``, and the GC ``__del__`` path all hit
-    the same executor, and none may raise on already-closed pipes."""
-
-    def test_double_shutdown_is_a_noop(self):
-        sim = Simulator(
-            bench_machine(nodes=2),
-            dispatcher=null_dispatcher(),
-            shards=2,
-            parallel=True,
-        )
-        sim.inject(MessageRecord(0, NEW_THREAD, "a"), t=0.0)
-        sim.run()
-        sim.shutdown()
-        sim.shutdown()  # second call finds nothing left to do
-
-    def test_shutdown_after_worker_failure_does_not_raise(self):
-        import os
-
-        from repro.machine.parallel import ShardWorkerFailed
-
-        def dispatch(sim, lane, record, start):
-            if record.label == "die":
-                os._exit(13)
-            return 2.0
-
-        sim = Simulator(
-            bench_machine(nodes=2),
-            dispatcher=dispatch,
-            shards=2,
-            parallel=True,
-        )
-        sim.inject(MessageRecord(0, NEW_THREAD, "die"), t=0.0)
-        with pytest.raises(ShardWorkerFailed):
-            sim.run()
-        # the failure path already aborted the pool; both explicit
-        # shutdown and the destructor must cope with the dead state
-        sim.shutdown()
-        sim.shutdown()
-        sim._scheduler.__del__()
-
-    def test_close_before_any_drain_keeps_executor_usable(self):
-        # close() on a never-forked pool must not brick it: nothing has
-        # run in a worker yet, so no state is lost
-        sim = Simulator(
-            bench_machine(nodes=2),
-            dispatcher=null_dispatcher(),
-            shards=2,
-            parallel=True,
-        )
-        sim._scheduler = __import__(
-            "repro.machine.parallel", fromlist=["make_scheduler"]
-        ).make_scheduler(sim)
-        sim._scheduler.close()
-        sim.inject(MessageRecord(0, NEW_THREAD, "a"), t=0.0)
-        assert sim.run().events_executed >= 1
-        sim.shutdown()

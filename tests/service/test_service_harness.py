@@ -1,11 +1,8 @@
 """The open-loop harness end to end: latency, verdicts, chaos soaks."""
 
-import pytest
-
 from repro.faults import FaultPlan
 from repro.faults.transport import ReliabilityConfig
 from repro.harness import run_service
-from repro.machine.simulator import SimulationError
 from repro.service import (
     BurstyArrivals,
     SLOSpec,
@@ -34,10 +31,6 @@ class TestHealthyRun:
         hists = rec.extra["service"].latency_hist
         assert all(hists[cls].count > 0 for cls in hists)
         assert all(hists[cls].quantile_bound(0.99) > 0 for cls in hists)
-
-    def test_parallel_workers_rejected_up_front(self):
-        with pytest.raises(SimulationError, match="parallel"):
-            run_service(_steady(n=4), nodes=4, parallel=True, shards=2)
 
 
 class TestReproducibility:

@@ -52,7 +52,6 @@ class TestGoldenDumps:
             f"  KVR_RETURN job={job.job_id}\n"
             f"  TERMINATE"
         )
-        rt.shutdown()
 
     def test_bucket_sort_count_batchable_scatter_falls_back(self):
         import numpy as np
@@ -82,7 +81,6 @@ class TestGoldenDumps:
         assert not splan.parkable
         assert splan.reason.startswith("trace aborted: AttributeError")
         assert [op[0] for op in splan.ops] == ["CHARGE", "SCRATCH_RW"]
-        rt.shutdown()
 
     def test_bfs_reduce_falls_back_on_raw_scratchpad(self):
         from repro.apps import BFSApp
@@ -101,7 +99,6 @@ class TestGoldenDumps:
             "CHARGE", "SCRATCH_RW", "CHARGE", "KVR_RETURN", "TERMINATE",
         ]
         assert "SCRATCH_RW" not in PARK_SAFE_OPS
-        rt.shutdown()
 
     def test_tc_reduce_falls_back_on_key_unpack(self):
         from repro.apps import TriangleCountApp
@@ -116,7 +113,6 @@ class TestGoldenDumps:
             "symbolic operand 'op1' used in unsupported computation"
         )
         assert plan.ops == []  # aborted before the first intrinsic
-        rt.shutdown()
 
 
 class TestTraceSafety:
@@ -148,7 +144,6 @@ class TestTraceSafety:
             tctx.spawn(0, "X::y")
         with pytest.raises(LoweringUnsupported):
             tctx.ud_print("hi")  # unknown intrinsic via __getattr__
-        rt.shutdown()
 
 
 class TestFallbackParity:
@@ -165,7 +160,6 @@ class TestFallbackParity:
             parents[batch] = list(res.parents)
             assert rt.sim.stats.records_batched == 0
             assert rt.sim.stats.batches_executed == 0
-            rt.shutdown()
         assert snaps[True] == snaps[False]
         assert parents[True] == parents[False]
 
