@@ -1,9 +1,8 @@
 """CI smoke: batched label-homogeneous dispatch is bit-exact.
 
-Runs one fixed seeded PageRank workload four ways — batch off and on,
-each under a sequential and a sharded drain — and asserts that every
-always-on scalar counter except the batch counters themselves, the host
-mailbox, and the functional output are identical.  Batching replaces N
+Runs one fixed seeded PageRank workload twice — batch off and on — and
+asserts that every always-on scalar counter except the batch counters
+themselves, the host mailbox, and the functional output are identical.  Batching replaces N
 interpreter passes over same-label reduce records with one array pass;
 each record still pays its own Table-2 lane cost, injection occupancy,
 and float-accumulation order, so any drift here is a correctness bug,
@@ -11,14 +10,9 @@ not a tuning artifact.  The batch counters must also satisfy record
 conservation: ``records_batched + events_interpreted ==
 events_executed``.
 
-Sharded drains disarm the parking gate (records fall back to the
-per-event interpreter), so the ``--shards`` runs double as proof that
-``batch_dispatch=True`` is inert wherever the batch path cannot prove
-itself safe.
-
 Usage::
 
-    PYTHONPATH=src python benchmarks/batch_smoke.py [--shards 2]
+    PYTHONPATH=src python benchmarks/batch_smoke.py
 """
 
 from __future__ import annotations
@@ -32,16 +26,14 @@ import time
 BATCH_KEYS = ("batches_executed", "records_batched", "events_interpreted")
 
 
-def run_once(batch: bool, shards: int = 1):
+def run_once(batch: bool):
     from repro.apps.pagerank import PageRankApp
     from repro.graph.generators import rmat
     from repro.harness.runner import BENCH_BLOCK_SIZE, bench_config
     from repro.udweave import UpDownRuntime
 
     graph = rmat(9, seed=7)
-    rt = UpDownRuntime(
-        bench_config(4, batch_dispatch=batch), shards=shards
-    )
+    rt = UpDownRuntime(bench_config(4, batch_dispatch=batch))
     app = PageRankApp(rt, graph, block_size=BENCH_BLOCK_SIZE)
     t0 = time.perf_counter()
     res = app.run(iterations=2)
@@ -62,37 +54,24 @@ def run_once(batch: bool, shards: int = 1):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        help="shard count for the batching-under-sharding runs",
-    )
-    args = parser.parse_args(argv)
+    parser.parse_args(argv)
 
     off = run_once(batch=False)
     on = run_once(batch=True)
-    off_sharded = run_once(batch=False, shards=args.shards)
-    on_sharded = run_once(batch=True, shards=args.shards)
 
     failures = []
-    variants = (
-        ("batch on", on),
-        (f"batch off shards={args.shards}", off_sharded),
-        (f"batch on shards={args.shards}", on_sharded),
-    )
-    for name, run in variants:
-        if run["fingerprint"] != off["fingerprint"]:
-            diff = {
-                k: (off["fingerprint"][k], run["fingerprint"][k])
-                for k in off["fingerprint"]
-                if off["fingerprint"][k] != run["fingerprint"].get(k)
-            }
-            failures.append(f"{name}: scalar fingerprint diverged: {diff}")
-        if run["mailbox"] != off["mailbox"]:
-            failures.append(f"{name}: host mailbox diverged")
-        if run["ranks"] != off["ranks"]:
-            failures.append(f"{name}: functional output (ranks) diverged")
+    if on["fingerprint"] != off["fingerprint"]:
+        diff = {
+            k: (off["fingerprint"][k], on["fingerprint"][k])
+            for k in off["fingerprint"]
+            if off["fingerprint"][k] != on["fingerprint"].get(k)
+        }
+        failures.append(f"batch on: scalar fingerprint diverged: {diff}")
+    if on["mailbox"] != off["mailbox"]:
+        failures.append("batch on: host mailbox diverged")
+    if on["ranks"] != off["ranks"]:
+        failures.append("batch on: functional output (ranks) diverged")
+    for name, run in (("batch off", off), ("batch on", on)):
         conserved = (
             run["batch"]["records_batched"]
             + run["batch"]["events_interpreted"]
@@ -105,23 +84,18 @@ def main(argv=None) -> int:
             )
     if on["batch"]["records_batched"] == 0:
         failures.append("batching never fired — the smoke lost its subject")
-    for name, run in (
-        ("batch off", off),
-        (f"batch off shards={args.shards}", off_sharded),
-        (f"batch on shards={args.shards}", on_sharded),
-    ):
-        if run["batch"]["records_batched"] or run["batch"]["batches_executed"]:
-            failures.append(
-                f"{name}: batch path fired where it must be disabled — "
-                f"{run['batch']}"
-            )
+    if off["batch"]["records_batched"] or off["batch"]["batches_executed"]:
+        failures.append(
+            f"batch off: batch path fired where it must be disabled — "
+            f"{off['batch']}"
+        )
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}")
         return 1
     fp = off["fingerprint"]
     print(
-        f"batch smoke OK: off / on x shards 1/{args.shards} bit-identical "
+        f"batch smoke OK: off / on bit-identical "
         f"({fp['events_executed']:,} events, final_tick={fp['final_tick']}); "
         f"{on['batch']['records_batched']:,} of "
         f"{on['events_executed']:,} records batched into "

@@ -13,7 +13,7 @@ Three scenarios, all bit-reproducible from their seeds:
   verdict (the healthy scenarios must pass theirs too).
 
 Each scenario also reruns its representative configuration with the same
-seed and with ``shards=2`` and records whether the result fingerprint
+seed and records whether the result fingerprint
 (latency histograms, per-request statuses, admission counters, give-up
 set) is identical — a ``false`` there is a determinism regression, not a
 performance data point.
@@ -86,16 +86,12 @@ def _run(requests, slo, **kw):
 
 
 def _reproduce(requests, slo, base, **kw):
-    """Same-seed rerun + shards=2 rerun; compare against ``base``."""
+    """Same-seed rerun; compare against ``base``."""
     rerun, _ = _run(requests, slo, **kw)
-    sharded, _ = _run(requests, slo, shards=2, **kw)
     return {
         "rerun_identical": rerun.fingerprint() == base.fingerprint(),
-        "shards2_identical": sharded.fingerprint() == base.fingerprint(),
         "verdict_identical": (
-            rerun.verdict.to_dict()
-            == sharded.verdict.to_dict()
-            == base.verdict.to_dict()
+            rerun.verdict.to_dict() == base.verdict.to_dict()
         ),
     }
 

@@ -18,16 +18,11 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_simcore.py --label after
     PYTHONPATH=src python benchmarks/bench_simcore.py --quick   # CI smoke
     PYTHONPATH=src python benchmarks/bench_simcore.py \
-        --label shards4 --shards 4   # conservative sharded drain
-    PYTHONPATH=src python benchmarks/bench_simcore.py \
         --label batched --batch   # batched label-homogeneous dispatch
 
 Determinism: each workload also records ``final_tick`` and
 ``events_executed``; those must be bit-identical across labels — a
 throughput win that changes the simulated result is a bug, not a win.
-The same holds across ``--shards`` values: conservative sharding is
-bit-exact, so a shards entry whose fingerprint differs from the
-sequential entry is a correctness failure, not a performance data point.
 """
 
 from __future__ import annotations
@@ -61,7 +56,6 @@ def _build(
     name: str,
     scale: int,
     nodes: int,
-    shards: int,
     explicit_fault_off: bool = False,
     batch: bool = False,
 ):
@@ -85,11 +79,7 @@ def _build(
         if explicit_fault_off
         else {}
     )
-    rt = UpDownRuntime(
-        bench_config(nodes, batch_dispatch=batch),
-        shards=shards,
-        **fault_kw,
-    )
+    rt = UpDownRuntime(bench_config(nodes, batch_dispatch=batch), **fault_kw)
     if name == "pagerank":
         app = PageRankApp(rt, graph, block_size=BENCH_BLOCK_SIZE)
     elif name == "bfs":
@@ -107,7 +97,6 @@ def run_workload(
     nodes: int,
     kwargs,
     repeats: int,
-    shards: int = 1,
     explicit_fault_off: bool = False,
     batch: bool = False,
 ):
@@ -115,7 +104,7 @@ def run_workload(
     best = None
     fingerprint = None
     for _ in range(repeats):
-        app = _build(name, scale, nodes, shards, explicit_fault_off, batch)
+        app = _build(name, scale, nodes, explicit_fault_off, batch)
         t0 = time.perf_counter()
         res = app.run(**kwargs)
         seconds = time.perf_counter() - t0
@@ -163,7 +152,7 @@ def run_fault_guard(workloads, repeats: int, tolerance: float) -> int:
     """
 
     def sample(explicit_fault_off):
-        app = _build(name, scale, nodes, 1, explicit_fault_off)
+        app = _build(name, scale, nodes, explicit_fault_off)
         c0 = time.process_time()
         res = app.run(**kwargs)
         cpu = time.process_time() - c0
@@ -238,12 +227,6 @@ def main(argv=None) -> int:
         help="small workloads for CI smoke runs",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="conservative DES shards (1 = sequential drain)",
-    )
-    parser.add_argument(
         "--batch",
         dest="batch",
         action="store_true",
@@ -295,7 +278,6 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": numpy_version,
         "quick": args.quick,
-        "shards": args.shards,
         "batch": args.batch,
         "cpu_count": os.cpu_count(),
         "workloads": {},
@@ -309,7 +291,6 @@ def main(argv=None) -> int:
             nodes,
             kwargs,
             args.repeats,
-            shards=args.shards,
             batch=args.batch,
         )
         entry["workloads"][name] = result

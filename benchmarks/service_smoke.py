@@ -1,16 +1,13 @@
 """CI smoke: a short service soak's SLO verdict is deterministic.
 
 Runs one fixed seeded steady-QPS soak under a deterministic 1% message
-drop plan with ack/retry delivery, three times — twice sequentially with
-the same seed, once with ``shards=2`` — and asserts:
+drop plan with ack/retry delivery, twice with the same seed, and asserts:
 
 * the healthy machine meets its SLO (the verdict passes, and the plan
   actually dropped messages, so the pass is earned, not vacuous);
 * the two same-seed runs produce byte-identical verdicts and result
   fingerprints (latency histograms, per-request statuses, admission
-  counters, transport give-up set);
-* the sharded run reproduces the sequential one exactly — conservative
-  sharding is bit-exact even for interleaved open-loop stepping.
+  counters, transport give-up set).
 
 Any mismatch is a determinism regression: exit 1 with the differing
 verdicts printed for triage.
@@ -27,7 +24,7 @@ import json
 import time
 
 
-def run_once(drop_rate: float, shards: int = 1):
+def run_once(drop_rate: float):
     from repro.faults import FaultPlan
     from repro.harness import run_service
     from repro.service import SLOSpec, ServiceWorkload, SteadyArrivals
@@ -42,7 +39,6 @@ def run_once(drop_rate: float, shards: int = 1):
         faults=FaultPlan(seed=13, drop_rate=drop_rate),
         reliable=True,
         watchdog_cycles=100_000.0,
-        shards=shards,
     )
     svc = rec.extra["service"]
     return svc, time.perf_counter() - t0
@@ -55,7 +51,6 @@ def main(argv=None) -> int:
 
     first, t1 = run_once(args.drop_rate)
     rerun, t2 = run_once(args.drop_rate)
-    sharded, t3 = run_once(args.drop_rate, shards=2)
 
     failures = []
     if first.fault_counts.get("msg_drop", 0) == 0:
@@ -69,19 +64,13 @@ def main(argv=None) -> int:
         )
     if rerun.fingerprint() != first.fingerprint():
         failures.append("same-seed rerun produced a different fingerprint")
-    if sharded.fingerprint() != first.fingerprint():
-        failures.append("shards=2 produced a different fingerprint")
-    if not (
-        first.verdict.to_dict()
-        == rerun.verdict.to_dict()
-        == sharded.verdict.to_dict()
-    ):
+    if first.verdict.to_dict() != rerun.verdict.to_dict():
         failures.append("verdicts differ across same-seed runs")
 
     if failures:
         for f in failures:
             print(f"FAIL: {f}")
-        for name, svc in (("run1", first), ("run2", rerun), ("shards2", sharded)):
+        for name, svc in (("run1", first), ("run2", rerun)):
             print(f"--- {name} verdict ---")
             print(json.dumps(svc.verdict.to_dict(), indent=2))
         return 1
@@ -90,9 +79,8 @@ def main(argv=None) -> int:
         f"{first.fault_counts.get('msg_drop', 0)} drops recovered "
         f"({first.status_counts['ok']} ok / "
         f"{first.status_counts['deadline_miss']} miss / "
-        f"{first.status_counts['lost']} lost); same-seed rerun and "
-        f"shards=2 bit-identical "
-        f"({t1:.1f}s / {t2:.1f}s / {t3:.1f}s host)"
+        f"{first.status_counts['lost']} lost); same-seed rerun "
+        f"bit-identical ({t1:.1f}s / {t2:.1f}s host)"
     )
     return 0
 

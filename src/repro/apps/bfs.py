@@ -155,8 +155,8 @@ class BFSAccelMaster(MapTask):
         cfg = ctx.config
         app = job_of(ctx, self._job_id).payload
         # Round number lives in the master lane's scratchpad, not in the
-        # shared app object: each launch is one round, and in-simulation
-        # state is what conservative sharding replicates correctly.
+        # shared app object: each launch is one round, and the round
+        # count is device state the simulated program itself reads.
         round_key = ("bfsr", app.uid)
         round_no = ctx.sp_read(round_key, 0)
         ctx.sp_write(round_key, round_no + 1)

@@ -75,8 +75,8 @@ class ScalableHashTable:
     Placement contract: key ``k`` lives on lane
     ``first_lane + stable_hash(("sht", name, k)) % num_lanes``, with
     :func:`~repro.kvmsr.binding.stable_hash` KVMSR's binding hash.  It
-    depends only on the table's name and lane range, so every process and
-    shard places a key identically.
+    depends only on the table's name and lane range, so every process
+    places a key identically.
     """
 
     def __init__(

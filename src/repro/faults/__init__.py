@@ -4,8 +4,7 @@ Three pieces, wired through the machine / runtime / KVMSR layers:
 
 * :class:`FaultPlan` — a seeded, content-keyed schedule of message
   drops/duplicates/delays, lane stalls, degraded DRAM bandwidth, and
-  node fail-stop.  Faulty runs are bit-reproducible and invariant to the
-  shard count (see ``plan.py``).
+  node fail-stop.  Faulty runs are bit-reproducible (see ``plan.py``).
 * :class:`ReliableTransport` / :class:`ReliabilityConfig` — opt-in
   ack/retry delivery so programs complete exactly-once under message
   loss (``transport.py``); enable via ``UpDownRuntime(reliable=True)``.

@@ -14,18 +14,17 @@ event count)`` through a splitmix64-style integer mixer — never Python's
 randomized ``hash()``, never wall-clock, never a shared stateful RNG.
 The actor/count pair is exactly the identity the simulator already stamps
 into heap keys (``repro.machine.events``): it is assigned entirely at the
-point of issue and each actor lives on exactly one shard, so
+point of issue, so
 
 * the same plan over the same program yields bit-identical fault
   decisions on every run, and
-* a faulty run is **shard-count-invariant**: ``shards=1/2/4`` perturb
-  the same messages at the same times, so
-  stats, traces, and application results stay bit-identical across
-  partitionings.
+* a decision depends only on the message it perturbs, not on how the
+  rest of the run interleaves: bounded ``run(until=)`` stepping and the
+  observation tiers perturb the same messages at the same times, so
+  stats, traces, and application results stay bit-identical.
 
-A shared ``random.Random`` could give neither property — consumption
-order differs between sequential and windowed drains (which is why
-latency jitter is banned under sharding, and fault plans are not).
+A shared ``random.Random`` gives only the first property: any change in
+the order draws are consumed shifts every later fault.
 """
 
 from __future__ import annotations
@@ -193,7 +192,7 @@ class FaultPlan:
 
     def lane_stall(self, network_id: int, event_index: int) -> float:
         """Stall cycles (possibly 0) before a lane's ``event_index``-th
-        dispatch.  Keyed off per-lane state, so shard-invariant."""
+        dispatch.  Keyed off per-lane state, not global event order."""
         u = _mix(self._seed_mix, _KIND_STALL, network_id, event_index)
         if u * _INV_2_64 < self.lane_stall_rate:
             return self.lane_stall_cycles

@@ -34,8 +34,8 @@ Protocol (per ``(source lane, destination lane)`` flow):
 
 Determinism: sequence numbers, timers, and retransmissions are all
 scheduled through the simulator's actor-stamped push path from state
-owned by a single lane, so reliable runs are exactly as reproducible and
-shard-invariant as plain ones.
+owned by a single lane, so reliable runs are exactly as reproducible as
+plain ones.
 """
 
 from __future__ import annotations

@@ -75,7 +75,6 @@ def _bench_runtime(
     detailed_stats: bool,
     record,
     machine_overrides,
-    shards: int = 1,
     faults=None,
     reliable=False,
     watchdog_cycles: Optional[float] = None,
@@ -85,7 +84,6 @@ def _bench_runtime(
         bench_config(nodes, **machine_overrides),
         detailed_stats=detailed_stats,
         recorder=make_recorder(record),
-        shards=shards,
         faults=faults,
         reliable=reliable,
         watchdog_cycles=watchdog_cycles,
@@ -125,7 +123,6 @@ def run_pagerank(
     max_events: int = DEFAULT_MAX_EVENTS,
     detailed_stats: bool = False,
     record=None,
-    shards: int = 1,
     faults=None,
     reliable=False,
     watchdog_cycles: Optional[float] = None,
@@ -134,7 +131,7 @@ def run_pagerank(
 ) -> RunRecord:
     """One PageRank run on a fresh scaled machine; returns its RunRecord."""
     rt = _bench_runtime(
-        nodes, detailed_stats, record, machine_overrides, shards, faults,
+        nodes, detailed_stats, record, machine_overrides, faults,
         reliable, watchdog_cycles,
     )
     app = PageRankApp(
@@ -163,7 +160,6 @@ def run_bfs(
     max_events: int = DEFAULT_MAX_EVENTS,
     detailed_stats: bool = False,
     record=None,
-    shards: int = 1,
     faults=None,
     reliable=False,
     watchdog_cycles: Optional[float] = None,
@@ -172,7 +168,7 @@ def run_bfs(
 ) -> RunRecord:
     """One BFS run on a fresh scaled machine; returns its RunRecord."""
     rt = _bench_runtime(
-        nodes, detailed_stats, record, machine_overrides, shards, faults,
+        nodes, detailed_stats, record, machine_overrides, faults,
         reliable, watchdog_cycles,
     )
     app = BFSApp(
@@ -208,7 +204,6 @@ def run_triangle_count(
     max_events: int = DEFAULT_MAX_EVENTS,
     detailed_stats: bool = False,
     record=None,
-    shards: int = 1,
     faults=None,
     reliable=False,
     watchdog_cycles: Optional[float] = None,
@@ -217,7 +212,7 @@ def run_triangle_count(
 ) -> RunRecord:
     """One TC run on a fresh scaled machine; returns its RunRecord."""
     rt = _bench_runtime(
-        nodes, detailed_stats, record, machine_overrides, shards, faults,
+        nodes, detailed_stats, record, machine_overrides, faults,
         reliable, watchdog_cycles,
     )
     app = TriangleCountApp(
@@ -242,7 +237,6 @@ def run_ingestion(
     max_events: int = DEFAULT_MAX_EVENTS,
     detailed_stats: bool = False,
     record=None,
-    shards: int = 1,
     faults=None,
     reliable=False,
     watchdog_cycles: Optional[float] = None,
@@ -251,7 +245,7 @@ def run_ingestion(
 ) -> RunRecord:
     """One ingestion run on a fresh scaled machine; returns its RunRecord."""
     rt = _bench_runtime(
-        nodes, detailed_stats, record, machine_overrides, shards, faults,
+        nodes, detailed_stats, record, machine_overrides, faults,
         reliable, watchdog_cycles,
     )
     app = IngestionApp(rt, records, block_words=block_words)
@@ -273,7 +267,6 @@ def run_partial_match(
     max_events: int = DEFAULT_MAX_EVENTS,
     detailed_stats: bool = False,
     record=None,
-    shards: int = 1,
     faults=None,
     reliable=False,
     watchdog_cycles: Optional[float] = None,
@@ -282,7 +275,7 @@ def run_partial_match(
 ) -> RunRecord:
     """One partial-match stream on a fresh scaled machine (latency metric)."""
     rt = _bench_runtime(
-        nodes, detailed_stats, record, machine_overrides, shards, faults,
+        nodes, detailed_stats, record, machine_overrides, faults,
         reliable, watchdog_cycles,
     )
     app = PartialMatchApp(rt, patterns)
@@ -309,7 +302,6 @@ def run_service(
     max_events: int = DEFAULT_MAX_EVENTS,
     detailed_stats: bool = False,
     record="histograms",
-    shards: int = 1,
     faults=None,
     reliable=False,
     watchdog_cycles: Optional[float] = None,
@@ -336,7 +328,7 @@ def run_service(
     from repro.service import DEFAULT_PATTERNS, ServiceApp, ServiceHarness
 
     rt = _bench_runtime(
-        nodes, detailed_stats, record, machine_overrides, shards, faults,
+        nodes, detailed_stats, record, machine_overrides, faults,
         reliable, watchdog_cycles,
     )
     app = ServiceApp(

@@ -89,6 +89,20 @@ class MachineConfig:
             raise ValueError("remote DRAM latency ratio must be >= 1")
         if not (0.0 < self.remote_dram_bandwidth_ratio <= 1.0):
             raise ValueError("remote DRAM bandwidth ratio must be in (0, 1]")
+        for name in (
+            "local_msg_latency_cycles",
+            "remote_msg_latency_cycles",
+            "dram_latency_cycles",
+        ):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        for name in (
+            "node_dram_bytes_per_cycle",
+            "node_injection_bytes_per_cycle",
+            "message_bytes",
+        ):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         self.costs.validate()
 
     # ------------------------------------------------------------------
@@ -197,28 +211,6 @@ class MachineConfig:
         sensitive recovery.
         """
         return 8.0 * float(self.remote_msg_latency_cycles)
-
-    @property
-    def conservative_lookahead_cycles(self) -> float:
-        """Safe epoch window for conservative sharded execution.
-
-        No interaction between two *different* nodes can take effect
-        sooner than this many cycles after it is issued: cross-node
-        messages pay ``remote_msg_latency_cycles`` of base latency
-        (injection queueing only adds to that), and each direction of a
-        remote split-phase DRAM access pays
-        ``remote_dram_transit_cycles`` of fabric transit.  Intra-node
-        traffic never crosses a shard boundary (shards partition whole
-        nodes), so the minimum of the two cross-node constants bounds how
-        far apart shards can drift while still seeing every inbound
-        boundary event in time — the classic conservative-lookahead
-        argument.  Zero (``remote_dram_latency_ratio == 1``) means the
-        machine cannot be sharded.
-        """
-        return min(
-            float(self.remote_msg_latency_cycles),
-            self.remote_dram_transit_cycles,
-        )
 
     def scaled(self, nodes: int) -> "MachineConfig":
         """A copy of this configuration with a different node count.

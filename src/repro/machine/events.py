@@ -4,12 +4,11 @@ The simulator's heap holds plain ``(time, dest, seq, record)`` tuples —
 tuple comparison is the fastest total order CPython offers, and the heap
 sees one comparison per sift step on every one of the millions of events a
 run executes.  ``dest`` is the destination networkID (so ties at one
-timestamp resolve by destination before sequence — the order is then
-independent of how a sharded run partitions the machine), and ``seq``
-packs the *issuing actor* and its private event count
-(``(actor << 44) | count``): every push carries a globally unique key
-assigned entirely at the point of issue, which is what lets a conservative
-sharded run pop exactly the sequential order on every shard.
+timestamp resolve by destination before sequence), and ``seq`` packs the
+*issuing actor* and its private event count (``(actor << 44) | count``):
+every push carries a globally unique key assigned entirely at the point
+of issue, so tie order — and the fault draws keyed on ``(actor, count)``
+— never depends on global issue order.
 :class:`SimEvent` remains as a named view for code that wants field access
 over positional unpacking.
 
@@ -135,9 +134,9 @@ class DramArrival:
     memory_node`` — which the drain loop recognizes (it is outside the
     lane range) and services by running the memory-channel access and the
     reply hop *at the memory node, in arrival order*.  Keeping all
-    mutations of a node's DRAM and reply channels at the owning node is
-    what makes the memory system shardable: a requester only touches its
-    own injection channel at issue time.
+    mutations of a node's DRAM and reply channels at the owning node
+    services requests in arrival order: a requester only touches its own
+    injection channel at issue time.
 
     The functional payload is not carried here: data words are read and
     written when the request *issues* (see ``repro.udweave.context``);

@@ -112,7 +112,7 @@ class Network:
         request-admission time to shed or defer under backpressure
         instead of queueing unboundedly.  Pure read — no channel state
         changes — so sampling it between bounded drains is safe and
-        bit-identical across shard counts.
+        leaves the run bit-identical to an unsampled one.
         """
         ch = self._injection.get(node)
         if ch is None:
@@ -256,9 +256,8 @@ class Network:
           of the normal cost-model delivery time.
 
         Faults only ever *delay or remove* deliveries relative to the
-        fault-free schedule — never accelerate them — which is what keeps
-        the conservative-lookahead window bound of sharded execution
-        valid under any fault plan.
+        fault-free schedule — never accelerate them — so no faulty
+        delivery lands before its issue tick plus the base latency.
         """
         t_deliver = self.deliver_time(t_issue, src_node, dst_node, nbytes)
         if code == FAULT_DROP:

@@ -11,18 +11,15 @@ Determinism: the heap key is assigned entirely at the point of issue —
 ``seq`` packs the issuing actor (host, lane, or node) with that actor's
 private event count — and all latency jitter (used only by
 failure-injection tests) is seeded, so every simulation run is exactly
-reproducible.  Because the key never depends on *global* issue order, the
-event order is also independent of how the machine is partitioned into
-shards: a conservative sharded run (``shards=N``, see
-``repro.machine.parallel``) produces bit-identical results to the
-sequential drain.
+reproducible.  Because the key never depends on *global* issue order, a
+fault draw keyed on ``(actor, count)`` perturbs the same message however
+the rest of the run interleaves (DESIGN.md "Determinism keys").
 
 Remote split-phase DRAM is event-driven: the requester admits its own
 injection channel at issue time and schedules a :class:`DramArrival`
 meta-event at the memory node; the memory channel and the reply virtual
 channel are touched only when that event pops — in arrival order, at the
-node that owns them.  That locality (every channel is mutated only by its
-owning node) is what makes the machine shardable by node.
+node that owns them, so every channel is mutated only by its owning node.
 
 Hot path: event handlers model 10-100 machine instructions (paper
 §2.1.1), so a single figure-9 sweep point executes hundreds of thousands
@@ -100,13 +97,7 @@ def _render_dump(dump: dict, indent: str = "  ") -> str:
 
 
 class Simulator:
-    """Event-driven simulation of one UpDown machine.
-
-    ``shards`` > 1 partitions the machine's nodes into that many shards
-    and drains them through conservative epoch windows (see
-    ``repro.machine.parallel``).  Results are bit-identical to the
-    sequential (``shards=1``) drain.
-    """
+    """Event-driven simulation of one UpDown machine."""
 
     def __init__(
         self,
@@ -118,7 +109,6 @@ class Simulator:
         trace: bool = False,
         detailed_stats: bool = False,
         recorder=None,
-        shards: int = 1,
         faults=None,
         watchdog_cycles: Optional[float] = None,
     ) -> None:
@@ -156,44 +146,13 @@ class Simulator:
         self._heap: List[Tuple[float, int, int, MessageRecord]] = []
         #: per-actor push counters (actor 0 = host, 1+L = lane L,
         #: 1+total_lanes+X = node X's memory/arrival actor).  Each actor
-        #: counts its own pushes, so heap keys do not depend on global
-        #: issue order — the property sharded runs rely on.
+        #: counts its own pushes, so heap keys (and the fault draws keyed
+        #: on them) do not depend on global issue order.
         self._actor_seq: dict = {}
-        #: shard-routing hook installed by ``repro.machine.parallel``;
-        #: ``None`` means push straight into ``self._heap``.
-        self._route: Optional[Callable] = None
         self._lanes: dict[int, Lane] = {}
         self.now: float = 0.0
         #: messages addressed to the host (program results / completion).
         self.host_inbox: List[Tuple[float, MessageRecord]] = []
-        # --- shard configuration -------------------------------------
-        self.shards = shards
-        self._scheduler = None
-        self._shard_of_node: Optional[List[int]] = None
-        if shards < 1:
-            raise SimulationError("shards must be at least 1")
-        if shards > 1:
-            if shards > config.nodes:
-                raise SimulationError(
-                    f"cannot split {config.nodes} node(s) into {shards} "
-                    f"shards — shards cannot exceed nodes"
-                )
-            if latency_jitter_cycles > 0.0:
-                raise SimulationError(
-                    "latency jitter draws from one shared RNG and is "
-                    "incompatible with sharded execution; set "
-                    "latency_jitter_cycles=0"
-                )
-            if config.conservative_lookahead_cycles <= 0.0:
-                raise SimulationError(
-                    "sharded execution needs a positive conservative "
-                    "lookahead (remote_msg_latency_cycles and "
-                    "remote_dram_transit_cycles must both be > 0)"
-                )
-            nodes = config.nodes
-            self._shard_of_node = [
-                n * shards // nodes for n in range(nodes)
-            ]
         # hot-path constants (avoid per-send property/attribute chains)
         self._lanes_per_node = config.lanes_per_node
         self._total_lanes = config.total_lanes
@@ -219,7 +178,7 @@ class Simulator:
         # observed.  Results are bit-identical; only per-record Python
         # machinery (heap traffic, dispatch, context churn) is skipped.
         self._batch_on = bool(config.batch_dispatch)
-        #: parking is armed per drain (sequential, fault-free, unwatched,
+        #: parking is armed per drain (fault-free, unwatched,
         #: unrecorded-span drains only — see :meth:`run`); everything
         #: else falls back to per-event interpretation automatically.
         self._park_active = False
@@ -394,11 +353,9 @@ class Simulator:
         """The single heap-insertion point.
 
         Every scheduled delivery — sends, host injections, DRAM arrivals
-        and responses — funnels through here, so the shard scheduler has
-        one place to hook (``self._route``) when events must land in a
-        per-shard heap instead of the global heap.  ``actor`` identifies
-        the issuing execution context; its private counter makes the key
-        unique and shard-independent.
+        and responses — funnels through here.  ``actor`` identifies the
+        issuing execution context; its private counter makes the key
+        unique and independent of global issue order.
         """
         aseq = self._actor_seq
         count = aseq.get(actor, 0)
@@ -409,11 +366,7 @@ class Simulator:
             (actor << ACTOR_SEQ_BITS) | count,
             record,
         )
-        route = self._route
-        if route is None:
-            heapq.heappush(self._heap, entry)
-        else:
-            route(entry)
+        heapq.heappush(self._heap, entry)
 
     def send(
         self,
@@ -534,9 +487,8 @@ class Simulator:
         if fmsg is not None and remote:
             # Keyed off the issuing actor and its private push count —
             # both fixed at the point of issue — so the draw is identical
-            # run-to-run and across shard counts (each actor lives on
-            # exactly one shard).  Local and host traffic is exempt: the
-            # fault model perturbs the *fabric*.
+            # run-to-run.  Local and host traffic is exempt: the fault
+            # model perturbs the *fabric*.
             code = fmsg(actor, self._actor_seq.get(actor, 0))
         if code == 0:
             t_deliver = self._deliver_time(
@@ -599,9 +551,9 @@ class Simulator:
         the same ``(time, seq)`` its heap entry would have carried, and
         executes (in key order, merged with heap deliveries) the moment
         the lane's state is next observed.  Only reachable while
-        ``_park_active`` (armed by :meth:`run` for plain sequential
-        drains), which guarantees the fabric is healthy: no transport,
-        faults, jitter, or channel recording.
+        ``_park_active`` (armed by :meth:`run` for plain drains), which
+        guarantees the fabric is healthy: no transport, faults, jitter, or
+        channel recording.
         """
         stats = self.stats
         aseq = self._actor_seq
@@ -735,8 +687,7 @@ class Simulator:
         ``LaneContext.dram_read_blocking`` to charge read-modify-write
         fetches that complete within one event).  Blocking accesses need
         the round trip synchronously, so they service the memory node's
-        channels at issue time; under sharding that is only legal when
-        both nodes live on the same shard.
+        channels at issue time.
 
         Remote accesses ride the fabric like any other traffic: each
         direction is admitted through an injection channel at its sending
@@ -797,21 +748,7 @@ class Simulator:
         if blocking:
             # Synchronous round trip: the caller stalls for the result,
             # so the memory node's channels are serviced now, at issue —
-            # ahead of any in-flight arrivals.  Under sharding this
-            # reaches into the memory node's state, legal only when both
-            # nodes share a shard (identical order to the sequential
-            # engine either way).
-            shard_map = self._shard_of_node
-            if (
-                shard_map is not None
-                and shard_map[src_node] != shard_map[memory_node]
-            ):
-                raise SimulationError(
-                    f"blocking DRAM read from node {src_node} to node "
-                    f"{memory_node} crosses a shard boundary; sharded "
-                    f"runs must keep blocking reads shard-local (use "
-                    f"split-phase reads instead)"
-                )
+            # ahead of any in-flight arrivals.
             result = self.memory.access(
                 t_arrive, src_node, memory_node, nbytes,
                 local_offset=local_offset,
@@ -864,8 +801,7 @@ class Simulator:
         sources earlier are serviced first), the reply rides the memory
         node's reply virtual channel, and the response — if any — is
         pushed with the memory node's own actor counter.  All state
-        touched here belongs to ``arrival.memory_node``, so under
-        sharding this executes on the shard that owns it.
+        touched here belongs to ``arrival.memory_node``.
         """
         mem_node = arrival.memory_node
         result = self.memory.access(
@@ -919,28 +855,17 @@ class Simulator:
         ``until`` bounds the drain: only events strictly before that tick
         execute, and the heap (with everything at or after ``until``)
         stays intact, so the caller can re-enter — the bounded stepping
-        the conservative epoch driver (and the service harness's
-        interleaved open-loop stepping) is built on.  With shards the
-        bound is forwarded to the shard scheduler, which clamps its epoch
-        windows to it.
+        the service harness's interleaved open-loop stepping is built on.
         """
-        if self.shards > 1:
-            sched = self._scheduler
-            if sched is None:
-                from .parallel import ShardScheduler
-
-                sched = self._scheduler = ShardScheduler(self)
-            return sched.drain(max_events, until)
         # Arm record parking only for the drain shape whose observation
-        # points the flush hooks fully cover: plain sequential, healthy
-        # fabric, no event budget, no watchdog, no per-event observers
-        # that the batch executors do not replicate.  Everything else
+        # points the flush hooks fully cover: healthy fabric, no event
+        # budget, no watchdog, no per-event observers that the batch
+        # executors do not replicate.  Everything else
         # simply interprets per event — bit-identical either way.
         recorder = self.recorder
         self._park_active = (
             self._batch_on
             and max_events is None
-            and self._route is None
             and self._transport is None
             and self._fault_msg is None
             and self._fault_dead is None
@@ -955,7 +880,7 @@ class Simulator:
         return stats
 
     def _drain(self, max_events: Optional[int], until: float) -> SimStats:
-        """The sequential drain loop over ``self._heap`` (see :meth:`run`).
+        """The drain loop over ``self._heap`` (see :meth:`run`).
 
         One heap entry is one record.  Fused dispatch: when the next heap
         entry is another delivery to the just-executed event's lane, it
@@ -1157,8 +1082,7 @@ class Simulator:
             if final_tick > stats.final_tick:
                 stats.final_tick = final_tick
             # Watchdog progress survives bounded re-entry (run(until=)
-            # stepping and the shard window loop both call _drain many
-            # times per logical run).
+            # stepping calls _drain many times per logical run).
             self._wd_last_progress = wd_last
             self._sync_lane_stats()
         return stats

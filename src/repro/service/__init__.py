@@ -9,7 +9,7 @@ processes (:mod:`.arrivals`), a mixed query/update workload
 queue-wait admission control and an interleaved-stepping harness
 (:mod:`.harness`), and machine-checkable soak verdicts (:mod:`.slo`).
 Every layer is a pure function of its seeds, so chaos-soak verdicts are
-byte-identical across reruns and shard counts.
+byte-identical across reruns.
 """
 
 from .app import DONE_LABEL, ServiceApp, SvcExactTask, SvcMultihopTask, SvcPartialTask

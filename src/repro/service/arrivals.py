@@ -5,7 +5,7 @@ the clients own, whether or not the machine has kept up — that is what
 makes queueing, admission control, and tail latency measurable at all
 (a closed loop self-throttles and hides saturation).  Every process here
 is a pure function of its constructor arguments: the k-th arrival time
-is reproducible bit-for-bit across runs, shard counts, and platforms,
+is reproducible bit-for-bit across runs and platforms,
 which is what lets chaos-soak SLO verdicts be compared byte-wise.
 
 Randomness (the Poisson process) comes from the same splitmix64 mixing

@@ -1,8 +1,7 @@
 """Open-loop service driver: interleaved stepping, admission, deadlines.
 
 The harness turns the batch simulator into an always-on service: it
-steps the machine through fixed windows (``Simulator.run(until=)`` —
-forwarded to the shard scheduler's clamped epoch windows when sharded),
+steps the machine through fixed windows (``Simulator.run(until=)``),
 and between windows plays the host-side control plane:
 
 * **admission** — each arriving request is checked against the ingress
@@ -17,10 +16,9 @@ and between windows plays the host-side control plane:
   drain grace expires are ``lost``.
 
 Everything the control plane reads between windows (channel ``free_at``,
-the host inbox) is bit-identical across shard counts at window
-boundaries — all events before the boundary have executed, all events
-after it have not — so a sharded service run reproduces the sequential
-one byte for byte, chaos plans included.
+the host inbox) is fixed at a window boundary — all events before the
+boundary have executed, all events after it have not — so a service run
+reproduces byte for byte across reruns, chaos plans included.
 """
 
 from __future__ import annotations
@@ -126,8 +124,8 @@ class ServiceResult:
         counts, totals), every per-request verdict, the admission
         counters, and the transport give-up set — equal fingerprints
         mean the runs were observationally identical.  The give-up log
-        is sorted first: in-process shards retire windows shard by
-        shard, so its append order (only) is shard-dependent.
+        is sorted first: the digest canonicalizes it, comparing
+        give-ups by content rather than by append order.
         """
         canon = (
             histogram_fingerprint(self.latency_hist),

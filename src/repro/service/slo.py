@@ -6,9 +6,9 @@ against the run's measured distributions and the result is a plain
 ``passed`` flag plus a deterministic, ordered violation list.  Verdicts
 are built only from bit-reproducible inputs — LogHistogram bucket
 bounds (powers of two), integer counters, and exact cycle counts — so
-two runs of the same seed produce byte-identical verdicts, including
-across shard counts.  That is what makes a chaos soak CI-checkable:
-"the machine under 1% drops still meets the SLO" is an equality test.
+two runs of the same seed produce byte-identical verdicts.  That is what
+makes a chaos soak CI-checkable: "the machine under 1% drops still meets
+the SLO" is an equality test.
 
 Timeout semantics: a request that completes after its deadline is a
 ``deadline_miss`` (it still has a latency sample); a request that never

@@ -51,7 +51,6 @@ class UpDownRuntime:
         memory_banks_per_node: int = 1,
         detailed_stats: bool = False,
         recorder=None,
-        shards: int = 1,
         faults=None,
         reliable=False,
         watchdog_cycles: Optional[float] = None,
@@ -69,7 +68,6 @@ class UpDownRuntime:
             memory_banks_per_node=memory_banks_per_node,
             detailed_stats=detailed_stats,
             recorder=recorder,
-            shards=shards,
             faults=faults,
             watchdog_cycles=watchdog_cycles,
         )

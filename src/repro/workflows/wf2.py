@@ -49,16 +49,14 @@ class WF2Workflow:
         patterns: Sequence[Pattern],
         seeds: Sequence[int],
         hops: int = 2,
-        shards: int = 1,
     ) -> None:
         self.config = config
         self.patterns = list(patterns)
         self.seeds = list(seeds)
         self.hops = hops
-        self.shards = shards
 
     def _runtime(self) -> UpDownRuntime:
-        return UpDownRuntime(self.config, shards=self.shards)
+        return UpDownRuntime(self.config)
 
     def run(
         self,

@@ -29,10 +29,10 @@ class Collect(ReduceTask):
         self.kv_reduce_return(ctx)
 
 
-def run_job(faults=None, reliable=False, watchdog=None, shards=1):
+def run_job(faults=None, reliable=False, watchdog=None):
     rt = UpDownRuntime(
         bench_machine(nodes=2), faults=faults, reliable=reliable,
-        watchdog_cycles=watchdog, shards=shards,
+        watchdog_cycles=watchdog,
     )
     sink = {}
     job = KVMSRJob(
@@ -85,14 +85,6 @@ class TestLostCredit:
         assert {k: sorted(v) for k, v in sink.items()} == {
             k: sorted(v) for k, v in golden.items()
         }
-
-    def test_watchdog_catches_the_stall_under_shards(self):
-        """Each shard window drains through the same watchdog check, and
-        the progress mark survives the window re-entries."""
-        with pytest.raises(QuiescenceStall, match="idle/control") as info:
-            run_job(shards=2, **LOSSY)
-        masters = info.value.diagnostic["kvmsr_credits"]["live_masters"]
-        assert any(m["outstanding"] > 0 for m in masters)
 
 
 class TestRearmOnInjection:

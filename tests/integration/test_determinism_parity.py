@@ -17,16 +17,10 @@ from repro.graph import rmat
 from repro.harness import bench_config
 from repro.udweave import UpDownRuntime
 from repro.workflows import WF2Workflow
+from tests.fingerprint import mailbox
 
 GRAPH = rmat(8, seed=7)
 BLOCK = 4096
-
-
-def _mailbox(rt):
-    """Host inbox as comparable values (delivery time, label, operands)."""
-    return [
-        (t, rec.label, rec.operands) for t, rec in rt.sim.host_inbox
-    ]
 
 
 def _run_pr(detailed=False):
@@ -55,7 +49,7 @@ class TestRunToRun:
     def test_identical_twice(self, runner):
         a, b = runner(), runner()
         assert a.sim.stats.scalar_snapshot() == b.sim.stats.scalar_snapshot()
-        assert _mailbox(a) == _mailbox(b)
+        assert mailbox(a) == mailbox(b)
 
     def test_wf2_identical_twice(self):
         a, b = _run_wf2(), _run_wf2()
@@ -75,7 +69,7 @@ class TestStatsTierParity:
             off.sim.stats.scalar_snapshot() == on.sim.stats.scalar_snapshot()
         )
         assert off.sim.stats.final_tick == on.sim.stats.final_tick
-        assert _mailbox(off) == _mailbox(on)
+        assert mailbox(off) == mailbox(on)
 
     def test_histogram_only_collected_when_on(self):
         off, on = _run_pr(detailed=False), _run_pr(detailed=True)

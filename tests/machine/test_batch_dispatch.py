@@ -2,27 +2,22 @@
 
 The contract (DESIGN.md "Event IR & batched dispatch"): flipping
 ``MachineConfig(batch_dispatch=True)`` may never change the simulation —
-only how fast the host reaches it.  These tests pin that across every
-drain the simulator offers (sequential, shards, faulted transport) and
-assert the record-conservation invariant
-``records_batched + events_interpreted == events_executed``.
+only how fast the host reaches it.  These tests pin that for the healthy
+and the faulted-transport drain and assert the record-conservation
+invariant ``records_batched + events_interpreted == events_executed``.
 """
-
-import pytest
 
 from repro.graph import rmat
 from repro.harness import bench_config
 from repro.udweave import UpDownRuntime
+from tests.fingerprint import mailbox, strip
 
 GRAPH = rmat(8, seed=7)
 BLOCK = 4096
 NODES = 4
 
-#: counters that legitimately partition differently when batching is on
-BATCH_KEYS = ("batches_executed", "records_batched", "events_interpreted")
 
-
-def _run_pr(batch, shards=1, faults=False):
+def _run_pr(batch, faults=False):
     fault_kw = {}
     if faults:
         from repro.faults import FaultPlan
@@ -30,27 +25,17 @@ def _run_pr(batch, shards=1, faults=False):
         fault_kw = dict(
             faults=FaultPlan(seed=5, drop_rate=0.02), reliable=True
         )
-    rt = UpDownRuntime(
-        bench_config(NODES, batch_dispatch=batch),
-        shards=shards,
-        **fault_kw,
-    )
+    rt = UpDownRuntime(bench_config(NODES, batch_dispatch=batch), **fault_kw)
     from repro.apps import PageRankApp
 
     res = PageRankApp(rt, GRAPH, block_size=BLOCK).run(iterations=2)
     out = {
         "snapshot": rt.sim.stats.scalar_snapshot(),
-        "mailbox": [
-            (t, rec.label, rec.operands) for t, rec in rt.sim.host_inbox
-        ],
+        "mailbox": mailbox(rt),
         "ranks": list(res.ranks),
         "stats": rt.sim.stats,
     }
     return out
-
-
-def _strip(snapshot, keys):
-    return {k: v for k, v in snapshot.items() if k not in keys}
 
 
 def _assert_conserved(stats):
@@ -64,9 +49,7 @@ class TestSequentialParity:
     def test_batch_on_matches_off_bit_for_bit(self):
         off = _run_pr(batch=False)
         on = _run_pr(batch=True)
-        assert _strip(on["snapshot"], BATCH_KEYS) == _strip(
-            off["snapshot"], BATCH_KEYS
-        )
+        assert strip(on["snapshot"]) == strip(off["snapshot"])
         assert on["mailbox"] == off["mailbox"]
         assert on["ranks"] == off["ranks"]
         # the batch path actually fired, and every record is accounted
@@ -94,29 +77,6 @@ class TestSequentialParity:
             on["stats"].records_batched / on["stats"].batches_executed
         )
         assert mean > 1.0  # batching amortized something
-
-
-class TestShardedParity:
-    """Sharded drains disarm parking; batch_dispatch=True must be inert."""
-
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_in_process_shards(self, shards):
-        off = _run_pr(batch=False, shards=shards)
-        on = _run_pr(batch=True, shards=shards)
-        assert on["snapshot"] == off["snapshot"]
-        assert on["mailbox"] == off["mailbox"]
-        assert on["ranks"] == off["ranks"]
-        assert on["stats"].records_batched == 0
-        _assert_conserved(on["stats"])
-
-    def test_sharded_matches_sequential_batched(self):
-        seq_on = _run_pr(batch=True)
-        shd_on = _run_pr(batch=True, shards=2)
-        assert _strip(shd_on["snapshot"], BATCH_KEYS) == _strip(
-            seq_on["snapshot"], BATCH_KEYS
-        )
-        assert shd_on["mailbox"] == seq_on["mailbox"]
-        assert shd_on["ranks"] == seq_on["ranks"]
 
 
 class TestFaultedParity:

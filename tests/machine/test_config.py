@@ -61,6 +61,13 @@ class TestValidation:
             {"remote_dram_latency_ratio": 0},
             {"remote_dram_bandwidth_ratio": 0.0},
             {"remote_dram_bandwidth_ratio": 1.5},
+            {"local_msg_latency_cycles": -1},
+            {"remote_msg_latency_cycles": -1},
+            {"dram_latency_cycles": -1},
+            {"node_dram_bytes_per_cycle": 0.0},
+            {"node_injection_bytes_per_cycle": 0.0},
+            {"node_injection_bytes_per_cycle": -2000.0},
+            {"message_bytes": 0},
         ],
     )
     def test_bad_parameters_rejected(self, kwargs):

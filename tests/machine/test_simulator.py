@@ -153,6 +153,66 @@ class TestBoundedReentry:
             assert run(limit) == golden, limit
 
 
+class TestBoundedStepping:
+    """``run(until=...)`` — the bounded stepper the service harness uses."""
+
+    def _sim(self):
+        disp = null_dispatcher(cycles=1.0)
+        sim = Simulator(bench_machine(nodes=1), dispatcher=disp)
+        for i, t in enumerate((10.0, 20.0, 30.0)):
+            sim.inject(MessageRecord(0, NEW_THREAD, f"e{i}"), t=t)
+        return sim, disp
+
+    def test_until_is_exclusive_and_heap_survives(self):
+        sim, disp = self._sim()
+        sim.run(until=20.0)
+        assert [label for _, label, _ in disp.executed] == ["e0"]
+        assert len(sim._heap) == 2  # later events still queued
+        assert sim.stats.events_executed == 1
+        assert not sim.stats.quiesced
+
+    def test_reentry_continues_where_it_stopped(self):
+        sim, disp = self._sim()
+        sim.run(until=15.0)
+        assert not sim.stats.quiesced  # later events still queued
+        sim.run(until=25.0)
+        assert [label for _, label, _ in disp.executed] == ["e0", "e1"]
+        assert not sim.stats.quiesced
+        sim.run()  # unbounded finishes the rest
+        assert [label for _, label, _ in disp.executed] == ["e0", "e1", "e2"]
+        assert sim._heap == []
+        assert sim.stats.quiesced
+
+    def test_until_before_first_event_is_a_no_op(self):
+        sim, disp = self._sim()
+        sim.run(until=5.0)
+        assert disp.executed == []
+        assert len(sim._heap) == 3
+
+    def test_max_events_is_per_call(self):
+        # each bounded run() gets its own budget (the guard trips when
+        # the budget-th event executes), so 2-per-call passes across two
+        # windows where a single 2-total run over 3 events raises
+        sim, disp = self._sim()
+        sim.run(until=15.0, max_events=2)
+        sim.run(until=25.0, max_events=2)
+        assert len(disp.executed) == 2
+
+    def test_max_events_still_guards_within_window(self):
+        sim, _ = self._sim()
+        with pytest.raises(SimulationError, match="max_events"):
+            sim.run(until=40.0, max_events=2)
+
+    def test_busy_lane_crossing_the_window_finishes_its_event(self):
+        # an event started before `until` runs to completion (events are
+        # atomic); only *deliveries* at t >= until are deferred
+        disp = null_dispatcher(cycles=100.0)
+        sim = Simulator(bench_machine(nodes=1), dispatcher=disp)
+        sim.inject(MessageRecord(0, NEW_THREAD, "long"), t=10.0)
+        sim.run(until=20.0)
+        assert sim.stats.final_tick == 110.0
+
+
 class TestTransport:
     def test_send_returns_delivery_time(self, sim):
         rec = MessageRecord(0, NEW_THREAD, "x", src_network_id=None)
@@ -208,6 +268,18 @@ class TestDram:
         assert t_remote > t_local
         # remote pays one fabric transit each way (§3.2's 7:1 knob)
         assert t_remote >= t_local + 2 * sim.config.remote_dram_transit_cycles
+
+    def test_remote_blocking_read_returns_the_round_trip(self, sim):
+        # serviced synchronously at issue: the caller gets the time the
+        # data is back, one fabric transit each way plus the device
+        cfg = sim.config
+        t_back = sim.dram_transaction(
+            MessageRecord(0, NEW_THREAD, "r", src_network_id=0),
+            0.0, 0, 1, 64, is_read=True, blocking=True,
+        )
+        assert t_back >= (
+            2 * cfg.remote_dram_transit_cycles + cfg.dram_latency_cycles
+        )
 
     def test_write_without_ack_extends_final_tick(self, sim):
         t = sim.dram_transaction(None, 0.0, 0, 0, 64, is_read=False)

@@ -103,13 +103,3 @@ class TestUnderLoad:
         assert sb.admission.requests_deferred > 0
         assert sb.admission.requests_shed < sa.admission.requests_shed
         assert sb.status_counts["lost"] == 0
-
-    def test_shed_decisions_are_shard_invariant(self):
-        adm1 = AdmissionControl(max_queue_wait_cycles=64.0, policy="shed")
-        adm2 = AdmissionControl(max_queue_wait_cycles=64.0, policy="shed")
-        reqs = _hot_node_flood()
-        a = run_service(reqs, nodes=2, admission=adm1, **self.BW)
-        b = run_service(reqs, nodes=2, admission=adm2, shards=2, **self.BW)
-        assert (
-            a.extra["service"].fingerprint() == b.extra["service"].fingerprint()
-        )

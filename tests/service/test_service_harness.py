@@ -41,13 +41,6 @@ class TestReproducibility:
         assert a.fingerprint() == b.fingerprint()
         assert a.verdict.to_dict() == b.verdict.to_dict()
 
-    def test_shard_invariant(self):
-        reqs = _steady()
-        a = run_service(reqs, nodes=4, slo=SLOSpec()).extra["service"]
-        b = run_service(reqs, nodes=4, slo=SLOSpec(), shards=2).extra["service"]
-        assert a.fingerprint() == b.fingerprint()
-        assert a.verdict.to_dict() == b.verdict.to_dict()
-
 
 class TestDeadlines:
     def test_impossible_deadline_is_a_miss_not_a_loss(self):
@@ -76,10 +69,10 @@ class TestChaosSoak:
         assert svc.status_counts["lost"] == 0
         assert svc.verdict.passed
 
-    def test_chaos_run_is_shard_invariant(self):
+    def test_chaos_run_is_reproducible(self):
         reqs = _steady()
         a = run_service(reqs, nodes=4, slo=SLOSpec(), **self.PLAN)
-        b = run_service(reqs, nodes=4, slo=SLOSpec(), shards=2, **self.PLAN)
+        b = run_service(reqs, nodes=4, slo=SLOSpec(), **self.PLAN)
         assert (
             a.extra["service"].fingerprint() == b.extra["service"].fingerprint()
         )
@@ -109,13 +102,11 @@ class TestGiveUpSoak:
         reliable=ReliabilityConfig(max_retries=1, ack_timeout_cycles=3000.0),
     )
 
-    def _run(self, **kw):
+    def _run(self):
         reqs = ServiceWorkload(seed=11, n_vertices=32).requests(
             SteadyArrivals(gap_cycles=2500.0).times(50)
         )
-        merged = dict(self.KW)
-        merged.update(kw)
-        return run_service(reqs, nodes=4, slo=SLOSpec(), **merged).extra[
+        return run_service(reqs, nodes=4, slo=SLOSpec(), **self.KW).extra[
             "service"
         ]
 
@@ -137,12 +128,11 @@ class TestGiveUpSoak:
             "deadline_miss"
         ]
 
-    def test_give_up_soak_is_deterministic_and_shard_invariant(self):
+    def test_give_up_soak_is_deterministic(self):
         a = self._run()
         b = self._run()
-        c = self._run(shards=2)
-        assert a.fingerprint() == b.fingerprint() == c.fingerprint()
-        assert a.give_up_log == c.give_up_log  # sorted: order-free equality
+        assert a.fingerprint() == b.fingerprint()
+        assert a.give_up_log == b.give_up_log
 
 
 class TestVerdictFormat:
